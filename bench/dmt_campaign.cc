@@ -17,6 +17,7 @@
  * never into the deterministic report.
  */
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -64,6 +65,14 @@ usage(const char *argv0)
     std::exit(2);
 }
 
+/** Reject a flag value: diagnostic on stderr, then usage, exit 2. */
+[[noreturn]] void
+badValue(const char *argv0, const char *what)
+{
+    std::fprintf(stderr, "%s: %s\n", argv0, what);
+    usage(argv0);
+}
+
 std::vector<std::string>
 splitList(const std::string &csv)
 {
@@ -89,9 +98,12 @@ parse(int argc, char **argv)
                 usage(argv[0]);
             return argv[++i];
         };
-        if (arg == "--threads")
+        if (arg == "--threads") {
             opt.threads = static_cast<unsigned>(
                 std::strtoul(value().c_str(), nullptr, 10));
+            if (opt.threads == 0)
+                badValue(argv[0], "--threads must be at least 1");
+        }
         else if (arg == "--out") opt.out = value();
         else if (arg == "--timing-json") opt.timingJson = value();
         else if (arg == "--workloads")
@@ -104,9 +116,13 @@ parse(int argc, char **argv)
             for (const auto &d : splitList(value()))
                 opt.campaign.designs.push_back(parseDesign(d));
         } else if (arg == "--thp") opt.campaign.includeThp = true;
-        else if (arg == "--scale")
-            opt.campaign.scale =
-                1.0 / std::strtod(value().c_str(), nullptr);
+        else if (arg == "--scale") {
+            const double denominator =
+                std::strtod(value().c_str(), nullptr);
+            if (!(denominator > 0.0) || !std::isfinite(denominator))
+                badValue(argv[0], "--scale must be a positive number");
+            opt.campaign.scale = 1.0 / denominator;
+        }
         else if (arg == "--accesses")
             opt.campaign.sim.measureAccesses =
                 std::strtoull(value().c_str(), nullptr, 10);
@@ -132,8 +148,6 @@ parse(int argc, char **argv)
         else if (arg == "--quiet") opt.quiet = true;
         else usage(argv[0]);
     }
-    if (opt.threads == 0)
-        opt.threads = 1;
     return opt;
 }
 

@@ -68,7 +68,10 @@ class Memory
     /** Write an aligned 64-bit word. */
     virtual void write64(Addr pa, std::uint64_t value) = 0;
 
-    /** Zero-fill an aligned byte range. */
+    /**
+     * Zero-fill an aligned byte range. The default word loops here are
+     * the reference the faster overrides are tested against.
+     */
     virtual void
     zeroRange(Addr pa, Addr bytes)
     {

@@ -30,12 +30,9 @@ PhysicalMemory::PhysicalMemory(Addr size_bytes) : size_(size_bytes)
         panic("cannot map 0x%llx bytes of simulated physical memory",
               static_cast<unsigned long long>(mappedBytes_));
     words_ = static_cast<std::uint64_t *>(map);
-#ifdef MADV_HUGEPAGE
-    // A multi-GB sparse mapping touched 8 bytes at a time is host-TLB
-    // hostile with 4 KB host pages; huge-page backing keeps read64's
-    // single load from stalling on dTLB walks. Advisory only.
-    ::madvise(map, mappedBytes_, MADV_HUGEPAGE);
-#endif
+    // No MADV_HUGEPAGE: testbeds touch scattered 4 KB frames, and a
+    // huge-page-backed mapping would fault in and zero a whole 2 MB
+    // page for each of them (see DESIGN.md, "Physical memory").
     frameLive_.assign(frames, 0);
     frameNonzero_.assign(frames, 0);
 }
@@ -160,8 +157,17 @@ PhysicalMemory::copyRange(Addr dst, Addr src, Addr bytes)
                       frameBytes - (src & frameMask)});
         const std::size_t sf =
             static_cast<std::size_t>(src >> frameShift);
-        if (frameNonzero_[sf] == 0) {
-            // Source reads as zero: equivalent to zeroing dst.
+        const std::size_t words = static_cast<std::size_t>(chunk >> 3);
+        const std::uint64_t *from = words_ + (src >> 3);
+        std::size_t srcNonzero = 0;
+        if (frameNonzero_[sf] != 0) {
+            for (std::size_t w = 0; w < words; ++w)
+                srcNonzero += (from[w] != 0) ? 1 : 0;
+        }
+        if (srcNonzero == 0) {
+            // Source reads as zero: equivalent to zeroing dst, so the
+            // destination frame materialises only for nonzero data,
+            // exactly as with write64.
             if (dst == (dst & ~frameMask) && chunk == frameBytes)
                 dropFrame(dst >> frameShift);
             else
@@ -173,15 +179,10 @@ PhysicalMemory::copyRange(Addr dst, Addr src, Addr bytes)
                 frameLive_[df] = 1;
                 ++framesInUse_;
             }
-            const std::size_t words =
-                static_cast<std::size_t>(chunk >> 3);
-            const std::uint64_t *from = words_ + (src >> 3);
             std::uint64_t *to = words_ + (dst >> 3);
-            std::size_t delta = 0;  // nonzero words, new minus old
-            for (std::size_t w = 0; w < words; ++w) {
-                delta += (from[w] != 0) ? 1 : 0;
+            std::size_t delta = srcNonzero;  // nonzero words, new minus old
+            for (std::size_t w = 0; w < words; ++w)
                 delta -= (to[w] != 0) ? 1 : 0;
-            }
             std::memcpy(to, from, chunk);
             frameNonzero_[df] += static_cast<std::uint32_t>(delta);
             nonzeroWords_ += delta;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
 #include "check/audit.hh"
 #include "common/log.hh"
@@ -211,14 +212,19 @@ BuddyAllocator::allocContig(std::uint64_t n_pages, FrameKind kind)
     DMT_ASSERT(kind != FrameKind::Free, "cannot allocate as Free");
     if (n_pages > freeFrames_)
         return std::nullopt;
-    // First-fit scan over the frame kinds; runs of free frames are
-    // found by linear scan (contiguous allocations are infrequent).
+    // First-fit scan over the frame kinds: memchr skips to the next
+    // free frame (Free is the zero byte), then the run is measured.
+    static_assert(static_cast<unsigned char>(FrameKind::Free) == 0 &&
+                  sizeof(FrameKind) == 1);
+    const auto *kinds = reinterpret_cast<const unsigned char *>(
+        kinds_.data());
     Pfn i = 0;
     while (i < numFrames_) {
-        if (kinds_[i] != FrameKind::Free) {
-            ++i;
-            continue;
-        }
+        const void *hit = std::memchr(kinds + i, 0, numFrames_ - i);
+        if (!hit)
+            break;
+        i = static_cast<Pfn>(static_cast<const unsigned char *>(hit) -
+                             kinds);
         Pfn runEnd = i;
         while (runEnd < numFrames_ && runEnd - i < n_pages &&
                kinds_[runEnd] == FrameKind::Free) {

@@ -9,14 +9,22 @@
  * 2-D walker and the DMT fetcher charge cache accesses against.
  * Views compose, which is how the L2 space of nested virtualization
  * is reached through two translation layers.
+ *
+ * Range operations (table zeroing, leaf-table relocation, TEA
+ * migration) run page by page: one translation per 4 KB chunk, then
+ * the backing store's own range op on the chunk. Every guest mapping
+ * is at least 4 KB and page aligned, so a chunk that stays inside one
+ * guest page is contiguous in the backing space.
  */
 
 #ifndef DMT_VIRT_GUEST_MEMORY_VIEW_HH
 #define DMT_VIRT_GUEST_MEMORY_VIEW_HH
 
+#include <algorithm>
 #include <functional>
 #include <utility>
 
+#include "common/log.hh"
 #include "common/types.hh"
 #include "mem/memory.hh"
 
@@ -51,6 +59,38 @@ class GuestMemoryView : public Memory
     write64(Addr pa, std::uint64_t value) override
     {
         backing_.write64(translate_(pa), value);
+    }
+
+    void
+    zeroRange(Addr pa, Addr bytes) override
+    {
+        DMT_ASSERT((pa & 7) == 0 && (bytes & 7) == 0,
+                   "zeroRange must be word aligned");
+        while (bytes > 0) {
+            const Addr chunk = std::min(bytes, pageSize - (pa & pageMask));
+            backing_.zeroRange(translate_(pa), chunk);
+            pa += chunk;
+            bytes -= chunk;
+        }
+    }
+
+    void
+    copyRange(Addr dst, Addr src, Addr bytes) override
+    {
+        DMT_ASSERT((dst & 7) == 0 && (src & 7) == 0 && (bytes & 7) == 0,
+                   "copyRange must be word aligned");
+        DMT_ASSERT(dst + bytes <= src || src + bytes <= dst,
+                   "copyRange ranges must not overlap");
+        while (bytes > 0) {
+            // Chunks never straddle a page on either side.
+            const Addr chunk =
+                std::min({bytes, pageSize - (dst & pageMask),
+                          pageSize - (src & pageMask)});
+            backing_.copyRange(translate_(dst), translate_(src), chunk);
+            dst += chunk;
+            src += chunk;
+            bytes -= chunk;
+        }
     }
 
   private:

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
+#include <vector>
 
 #include "common/rng.hh"
 #include "os/buddy_allocator.hh"
@@ -191,6 +193,101 @@ TEST(Buddy, RandomizedStressKeepsInvariants)
     for (auto [pfn, order] : live)
         alloc.freePages(pfn, order);
     EXPECT_EQ(alloc.freeFrames(), Pfn{1} << 13);
+    alloc.checkConsistency();
+}
+
+/** Brute-force first fit: the lowest run of n free frames. */
+std::optional<Pfn>
+lowestFreeRun(const BuddyAllocator &alloc, std::uint64_t n)
+{
+    std::uint64_t run = 0;
+    for (Pfn pfn = 0; pfn < alloc.numFrames(); ++pfn) {
+        run = alloc.isFree(pfn) ? run + 1 : 0;
+        if (run == n)
+            return pfn + 1 - n;
+    }
+    return std::nullopt;
+}
+
+/**
+ * A seeded, fragmented allocator: fill it with blocks of mixed orders
+ * and kinds, then free a random half, leaving free runs both shorter
+ * and longer than the requests below.
+ */
+void
+fragmentMixed(BuddyAllocator &alloc, std::uint64_t seed)
+{
+    Rng rng(seed);
+    const FrameKind kinds[] = {FrameKind::Movable, FrameKind::Unmovable,
+                               FrameKind::PageTable};
+    std::vector<std::pair<Pfn, int>> blocks;
+    for (;;) {
+        const int order = static_cast<int>(rng.below(4));
+        auto pfn = alloc.allocPages(order, kinds[rng.below(3)]);
+        if (!pfn) {
+            pfn = alloc.allocPages(0, kinds[rng.below(3)]);
+            if (!pfn)
+                break;
+            blocks.emplace_back(*pfn, 0);
+            continue;
+        }
+        blocks.emplace_back(*pfn, order);
+    }
+    for (auto [pfn, order] : blocks) {
+        if (rng.below(2) == 0)
+            alloc.freePages(pfn, order);
+    }
+}
+
+TEST(Buddy, AllocContigReturnsLowestFittingRun)
+{
+    constexpr Pfn frames = 1 << 12;
+    for (const std::uint64_t seed : {77, 78, 79, 80}) {
+        std::uint64_t longest = 0;
+        {
+            BuddyAllocator alloc(frames);
+            fragmentMixed(alloc, seed);
+            while (lowestFreeRun(alloc, longest + 1))
+                ++longest;
+        }
+        // Free runs both shorter and longer than most requests exist.
+        ASSERT_GE(longest, 8u);
+        ASSERT_LT(longest, frames / 4);
+        // Each request on a fresh copy of the same fragmented state,
+        // up to one frame past the longest run (the no-fit case).
+        for (std::uint64_t n = 1; n <= longest + 1; ++n) {
+            SCOPED_TRACE(testing::Message() << "seed " << seed
+                                            << ", " << n << " pages");
+            BuddyAllocator alloc(frames);
+            fragmentMixed(alloc, seed);
+            const auto expected = lowestFreeRun(alloc, n);
+            const auto freeBefore = alloc.freeFrames();
+            const auto got = alloc.allocContig(n, FrameKind::PageTable);
+            ASSERT_EQ(got, expected);
+            ASSERT_EQ(got.has_value(), n <= longest);
+            if (got) {
+                EXPECT_EQ(alloc.freeFrames(), freeBefore - n);
+                for (Pfn pfn = *got; pfn < *got + n; ++pfn)
+                    EXPECT_EQ(alloc.kindOf(pfn), FrameKind::PageTable);
+            } else {
+                EXPECT_EQ(alloc.freeFrames(), freeBefore);
+            }
+            alloc.checkConsistency();
+        }
+    }
+}
+
+TEST(Buddy, AllocContigFindsRunsAtTheEndOfMemory)
+{
+    BuddyAllocator alloc(64);
+    ASSERT_EQ(alloc.allocContig(63, FrameKind::Unmovable), Pfn{0});
+    // Only the last frame is left.
+    EXPECT_FALSE(alloc.allocContig(2, FrameKind::PageTable));
+    ASSERT_EQ(alloc.allocContig(1, FrameKind::PageTable), Pfn{63});
+    EXPECT_FALSE(alloc.allocContig(1, FrameKind::PageTable));
+    // A run that ends exactly at the last frame.
+    alloc.freeContig(60, 4);
+    EXPECT_EQ(alloc.allocContig(4, FrameKind::PageTable), Pfn{60});
     alloc.checkConsistency();
 }
 

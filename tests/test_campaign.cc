@@ -10,6 +10,9 @@
 
 #include <set>
 #include <sstream>
+#include <vector>
+
+#include <unistd.h>
 
 #include "driver/campaign.hh"
 #include "driver/json.hh"
@@ -152,6 +155,45 @@ TEST(Campaign, TimingSidecarIsSeparateFromReport)
     EXPECT_NE(timing.str().find("wall_seconds"), std::string::npos);
     EXPECT_NE(timing.str().find("dmt-campaign-timing-v1"),
               std::string::npos);
+}
+
+/**
+ * Run the dmt-campaign binary with `args` in place of this process.
+ * Only ever called inside a death test's child.
+ */
+[[noreturn]] void
+execCampaign(std::vector<const char *> args)
+{
+    args.insert(args.begin(), DMT_CAMPAIGN_BIN);
+    args.push_back(nullptr);
+    ::execv(DMT_CAMPAIGN_BIN, const_cast<char *const *>(args.data()));
+    ::_exit(127);  // exec failed: not the usage exit the tests expect
+}
+
+// --list would otherwise print the grid and exit 0, so a flag that
+// slipped through shows up as the wrong exit code, not a long run.
+TEST(CampaignCliDeathTest, ZeroThreadsIsAUsageError)
+{
+    EXPECT_EXIT(execCampaign({"--threads", "0", "--list"}),
+                ::testing::ExitedWithCode(2),
+                "--threads must be at least 1");
+}
+
+TEST(CampaignCliDeathTest, ZeroScaleIsAUsageError)
+{
+    EXPECT_EXIT(execCampaign({"--scale", "0", "--list"}),
+                ::testing::ExitedWithCode(2),
+                "--scale must be a positive number");
+    EXPECT_EXIT(execCampaign({"--scale", "-4", "--list"}),
+                ::testing::ExitedWithCode(2),
+                "--scale must be a positive number");
+}
+
+TEST(CampaignCliDeathTest, ValidGridSizesStillList)
+{
+    EXPECT_EXIT(execCampaign({"--threads", "1", "--scale", "256",
+                              "--list"}),
+                ::testing::ExitedWithCode(0), "");
 }
 
 } // namespace

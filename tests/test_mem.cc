@@ -101,6 +101,22 @@ TEST(PhysicalMemory, CopyRangeTracksNonzeroAcrossFrames)
     EXPECT_EQ(mem.wordsInUse(), 2u);
 }
 
+TEST(PhysicalMemory, CopyOfZeroWordsDoesNotMaterialiseDestination)
+{
+    PhysicalMemory mem(1 << 30);
+    // The source frame is live, but the copied span holds only zeros:
+    // like write64(0), the copy must not materialise the destination.
+    mem.write64(0x4000, 1);
+    mem.copyRange(0x9000, 0x4100, 0x100);
+    EXPECT_EQ(mem.framesInUse(), 1u);
+    EXPECT_EQ(mem.wordsInUse(), 1u);
+    // One nonzero word in the span does.
+    mem.copyRange(0x9000, 0x4000, 0x100);
+    EXPECT_EQ(mem.framesInUse(), 2u);
+    EXPECT_EQ(mem.wordsInUse(), 2u);
+    EXPECT_EQ(mem.read64(0x9000), 1u);
+}
+
 TEST(Cache, HitAfterInsertMissBefore)
 {
     Cache cache({"t", 4096, 4, 64, 10});

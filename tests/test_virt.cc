@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <functional>
 #include <set>
+#include <vector>
 
+#include "common/rng.hh"
 #include "mem/memory_hierarchy.hh"
 #include "mem/physical_memory.hh"
 #include "virt/nested_stack.hh"
@@ -215,6 +219,208 @@ TEST(NestedHypercallTest, CascadedGrantIsL0Contiguous)
         EXPECT_EQ(stack.l2paToL0pa(l2pa),
                   (grant->hostBasePfn + i) << pageShift);
     }
+}
+
+/**
+ * One guest-physical memory view over its own small host memory, so
+ * every backing word can be compared after each range operation.
+ */
+struct ViewRig
+{
+    virtual ~ViewRig() = default;
+    virtual PhysicalMemory &host() = 0;
+    virtual Memory &view() = 0;
+    virtual BuddyAllocator &viewAllocator() = 0;
+};
+
+/**
+ * Take `frames` host frames, pin the odd ones and fill them with
+ * nonzero words, and free the rest as isolated holes. Consecutive
+ * guest pages then land on scattered host frames with data in
+ * between: a range op that runs past a page in host space changes a
+ * word the word loop leaves alone.
+ */
+void
+scatterHostFrames(PhysicalMemory &mem, BuddyAllocator &alloc, Pfn frames)
+{
+    std::vector<Pfn> holes;
+    for (Pfn i = 0; i < frames; ++i) {
+        const auto pfn = alloc.allocPages(0, FrameKind::Unmovable);
+        ASSERT_TRUE(pfn.has_value());
+        if (*pfn % 2 == 0) {
+            holes.push_back(*pfn);
+            continue;
+        }
+        for (Addr off = 0; off < pageSize; off += 8)
+            mem.write64((*pfn << pageShift) + off, 0x5e00000000ull | off);
+    }
+    for (const Pfn pfn : holes)
+        alloc.freePages(pfn, 0);
+}
+
+struct VmRig : ViewRig
+{
+    explicit VmRig(ThpMode ept)
+        : hostMem(Addr{64} << 20), hostAlloc((Addr{64} << 20) >> pageShift)
+    {
+        // 2 MB EPT mappings need contiguous host memory.
+        if (ept == ThpMode::Never)
+            scatterHostFrames(hostMem, hostAlloc,
+                              (Addr{32} << 20) >> pageShift);
+        VmConfig cfg;
+        cfg.vmBytes = Addr{16} << 20;
+        cfg.hostThp = ept;
+        vm = std::make_unique<VirtualMachine>(hostMem, hostAlloc, cfg);
+    }
+    PhysicalMemory &host() override { return hostMem; }
+    Memory &view() override { return vm->guestMem(); }
+    BuddyAllocator &viewAllocator() override
+    {
+        return vm->guestAllocator();
+    }
+
+    PhysicalMemory hostMem;
+    BuddyAllocator hostAlloc;
+    std::unique_ptr<VirtualMachine> vm;
+};
+
+struct NestedRig : ViewRig
+{
+    NestedRig()
+        : l0Mem(Addr{192} << 20), l0Alloc((Addr{192} << 20) >> pageShift)
+    {
+        scatterHostFrames(l0Mem, l0Alloc,
+                          (Addr{128} << 20) >> pageShift);
+        NestedConfig cfg;
+        cfg.l1Bytes = Addr{64} << 20;
+        cfg.l2Bytes = Addr{16} << 20;
+        stack = std::make_unique<NestedStack>(l0Mem, l0Alloc, cfg);
+    }
+    PhysicalMemory &host() override { return l0Mem; }
+    Memory &view() override { return stack->l2Mem(); }
+    BuddyAllocator &viewAllocator() override
+    {
+        return stack->l2Allocator();
+    }
+
+    PhysicalMemory l0Mem;
+    BuddyAllocator l0Alloc;
+    std::unique_ptr<NestedStack> stack;
+};
+
+/** Every word of two host memories, plus their accounting. */
+void
+expectSameBacking(const PhysicalMemory &ranged,
+                  const PhysicalMemory &wordwise, const char *op)
+{
+    SCOPED_TRACE(op);
+    ASSERT_EQ(ranged.size(), wordwise.size());
+    const auto a = ranged.readWindow();
+    const auto b = wordwise.readWindow();
+    const std::size_t words = static_cast<std::size_t>(a.bytes >> 3);
+    if (std::memcmp(a.words, b.words, words * 8) != 0) {
+        for (std::size_t w = 0; w < words; ++w) {
+            ASSERT_EQ(a.words[w], b.words[w])
+                << "host word at 0x" << std::hex << (w * 8);
+        }
+    }
+    EXPECT_EQ(ranged.wordsInUse(), wordwise.wordsInUse());
+    // Whole-frame range ops drop frames; the word loop never does.
+    EXPECT_LE(ranged.framesInUse(), wordwise.framesInUse());
+}
+
+/**
+ * Drive the view's page-granular range ops on one rig and Memory's
+ * word loop (the base-class bodies, called non-virtually) on an
+ * identical rig, and compare the backing memories after every op.
+ */
+void
+checkRangeOpsMatchWordLoop(const std::function<std::unique_ptr<ViewRig>()>
+                               &make)
+{
+    auto ranged = make();
+    auto wordwise = make();
+    constexpr std::uint64_t pages = 32;
+    const auto pfnA =
+        ranged->viewAllocator().allocContig(pages, FrameKind::Movable);
+    const auto pfnB =
+        wordwise->viewAllocator().allocContig(pages, FrameKind::Movable);
+    ASSERT_TRUE(pfnA.has_value());
+    ASSERT_EQ(pfnA, pfnB);
+    const Addr base = *pfnA << pageShift;
+
+    // Seeded content in pages 0-19, with a quarter of the words zero;
+    // pages 20-31 are never written.
+    Rng rng(0x5eed);
+    for (Addr off = 0; off < 20 * pageSize; off += 8) {
+        const std::uint64_t v = rng.below(4) == 0 ? 0 : rng.next() | 1;
+        ranged->view().write64(base + off, v);
+        wordwise->view().write64(base + off, v);
+    }
+    expectSameBacking(ranged->host(), wordwise->host(), "fill");
+
+    struct Op
+    {
+        const char *name;
+        bool copy;
+        Addr dst, src, bytes;  // src unused for zeroRange
+    };
+    const Op ops[] = {
+        {"zero sub-page", false, 0x1008, 0, 0x100},
+        {"zero page-straddling", false, 2 * pageSize - 0x40, 0, 0x80},
+        {"zero whole pages", false, 4 * pageSize, 0, 3 * pageSize},
+        {"zero multi-page misaligned", false, 8 * pageSize + 0x18, 0,
+         2 * pageSize + 0x30},
+        {"copy sub-page", true, 12 * pageSize + 0x20,
+         1 * pageSize + 0x100, 0x200},
+        {"copy misaligned src/dst offsets", true, 13 * pageSize + 0xf00,
+         2 * pageSize + 0x80, 0x1800},
+        {"copy whole pages", true, 16 * pageSize, 0, 4 * pageSize},
+        {"copy multi-page misaligned", true, 5 * pageSize + 0x208,
+         10 * pageSize + 0xe38, 3 * pageSize + 0x1f0},
+        {"copy from zero source", true, 16 * pageSize + 0x10,
+         22 * pageSize + 0x7f8, 2 * pageSize},
+        {"copy whole pages from zero source", true, 18 * pageSize,
+         24 * pageSize, 2 * pageSize},
+        {"copy into never-written pages", true, 26 * pageSize + 0x40,
+         13 * pageSize + 0x10, 2 * pageSize},
+    };
+    for (const Op &op : ops) {
+        Memory &a = ranged->view();
+        Memory &b = wordwise->view();
+        if (op.copy) {
+            a.copyRange(base + op.dst, base + op.src, op.bytes);
+            b.Memory::copyRange(base + op.dst, base + op.src, op.bytes);
+        } else {
+            a.zeroRange(base + op.dst, op.bytes);
+            b.Memory::zeroRange(base + op.dst, op.bytes);
+        }
+        expectSameBacking(ranged->host(), wordwise->host(), op.name);
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+    // The whole-page zeroing dropped frames, so the override (not the
+    // word loop) really ran on the ranged rig.
+    EXPECT_LT(ranged->host().framesInUse(),
+              wordwise->host().framesInUse());
+}
+
+TEST(GuestViewRangeOps, OneLevelViewMatchesWordLoop)
+{
+    checkRangeOpsMatchWordLoop(
+        [] { return std::make_unique<VmRig>(ThpMode::Never); });
+}
+
+TEST(GuestViewRangeOps, OneLevelViewOverHugeEptMatchesWordLoop)
+{
+    checkRangeOpsMatchWordLoop(
+        [] { return std::make_unique<VmRig>(ThpMode::Always); });
+}
+
+TEST(GuestViewRangeOps, TwoLevelNestedViewMatchesWordLoop)
+{
+    checkRangeOpsMatchWordLoop(
+        [] { return std::make_unique<NestedRig>(); });
 }
 
 } // namespace
