@@ -8,7 +8,7 @@
  *                [--workloads A,B,...] [--envs native,virt,nested]
  *                [--designs vanilla,dmt,...] [--thp]
  *                [--scale N] [--accesses N] [--warmup N] [--seed N]
- *                [--batch N] [--events-dir DIR] [--list] [--quiet]
+ *                [--events-dir DIR] [--list] [--quiet]
  *
  * Every cell runs on its own shared-nothing testbed with an RNG seed
  * derived from (base seed, cell identity), so the merged JSON is
@@ -17,7 +17,6 @@
  * never into the deterministic report.
  */
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -31,6 +30,7 @@
 
 #include "common/log.hh"
 #include "driver/campaign.hh"
+#include "driver/cli.hh"
 #include "obs/event_log.hh"
 #include "obs/export.hh"
 
@@ -59,18 +59,9 @@ usage(const char *argv0)
         "          [--designs vanilla,shadow,fpt,ecpt,agile,asap,"
         "dmt,pvdmt]\n"
         "          [--thp] [--scale N] [--accesses N] [--warmup N]\n"
-        "          [--seed N] [--batch N (1 = scalar loop)]\n"
-        "          [--events-dir DIR] [--list] [--quiet]\n",
+        "          [--seed N] [--events-dir DIR] [--list] [--quiet]\n",
         argv0);
     std::exit(2);
-}
-
-/** Reject a flag value: diagnostic on stderr, then usage, exit 2. */
-[[noreturn]] void
-badValue(const char *argv0, const char *what)
-{
-    std::fprintf(stderr, "%s: %s\n", argv0, what);
-    usage(argv0);
 }
 
 std::vector<std::string>
@@ -98,12 +89,9 @@ parse(int argc, char **argv)
                 usage(argv[0]);
             return argv[++i];
         };
-        if (arg == "--threads") {
-            opt.threads = static_cast<unsigned>(
-                std::strtoul(value().c_str(), nullptr, 10));
-            if (opt.threads == 0)
-                badValue(argv[0], "--threads must be at least 1");
-        }
+        if (arg == "--threads")
+            opt.threads = static_cast<unsigned>(parseUintFlag(
+                argv[0], arg, value(), 1, kMaxFlagThreads, usage));
         else if (arg == "--out") opt.out = value();
         else if (arg == "--timing-json") opt.timingJson = value();
         else if (arg == "--workloads")
@@ -116,32 +104,18 @@ parse(int argc, char **argv)
             for (const auto &d : splitList(value()))
                 opt.campaign.designs.push_back(parseDesign(d));
         } else if (arg == "--thp") opt.campaign.includeThp = true;
-        else if (arg == "--scale") {
-            const double denominator =
-                std::strtod(value().c_str(), nullptr);
-            if (!(denominator > 0.0) || !std::isfinite(denominator))
-                badValue(argv[0], "--scale must be a positive number");
-            opt.campaign.scale = 1.0 / denominator;
-        }
+        else if (arg == "--scale")
+            opt.campaign.scale =
+                parseScaleFlag(argv[0], value(), usage);
         else if (arg == "--accesses")
-            opt.campaign.sim.measureAccesses =
-                std::strtoull(value().c_str(), nullptr, 10);
+            opt.campaign.sim.measureAccesses = parseUintFlag(
+                argv[0], arg, value(), 1, kMaxFlagAccesses, usage);
         else if (arg == "--warmup")
-            opt.campaign.sim.warmupAccesses =
-                std::strtoull(value().c_str(), nullptr, 10);
+            opt.campaign.sim.warmupAccesses = parseUintFlag(
+                argv[0], arg, value(), 0, kMaxFlagAccesses, usage);
         else if (arg == "--seed")
-            opt.campaign.baseSeed =
-                std::strtoull(value().c_str(), nullptr, 10);
-        else if (arg == "--batch") {
-            // Result-invariant knob: any batch size must produce a
-            // byte-identical BENCH_campaign.json (CI diffs --batch 1
-            // against the default), so it is deliberately absent
-            // from the emitted config block.
-            opt.campaign.sim.batchSize =
-                std::strtoull(value().c_str(), nullptr, 10);
-            if (opt.campaign.sim.batchSize == 0)
-                usage(argv[0]);
-        }
+            opt.campaign.baseSeed = parseUintFlag(
+                argv[0], arg, value(), 0, kNoFlagMax, usage);
         else if (arg == "--events-dir")
             opt.campaign.eventsDir = value();
         else if (arg == "--list") opt.list = true;

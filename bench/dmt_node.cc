@@ -8,7 +8,7 @@
  *            [--cores N] [--workloads A,B,...] [--env E]
  *            [--design D] [--thp] [--slice N] [--policy tagged|full]
  *            [--weighted] [--migrate N] [--pinned N] [--scale N]
- *            [--accesses N] [--warmup N] [--seed N] [--batch N]
+ *            [--accesses N] [--warmup N] [--seed N]
  *            [--events-dir DIR] [--host-events FILE] [--quiet]
  *
  * Every sweep point is a shared-nothing HostNode whose tenant seeds
@@ -22,12 +22,15 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/log.hh"
+#include "core/dmt_registers.hh"
+#include "driver/cli.hh"
 #include "host/sweep.hh"
 
 using namespace dmt;
@@ -35,6 +38,10 @@ using namespace dmt::host;
 
 namespace
 {
+
+/** Sweep bounds: far past any density or node the model is for. */
+constexpr std::uint64_t kMaxTenantsPerCore = 65536;
+constexpr std::uint64_t kMaxCores = 1024;
 
 struct Options
 {
@@ -56,7 +63,7 @@ usage(const char *argv0)
         "          [--slice N (accesses; 0 = run-to-completion)]\n"
         "          [--policy tagged|full] [--weighted] [--migrate N]\n"
         "          [--pinned N] [--scale N] [--accesses N]\n"
-        "          [--warmup N] [--seed N] [--batch N]\n"
+        "          [--warmup N] [--seed N]\n"
         "          [--events-dir DIR] [--host-events FILE] [--quiet]\n",
         argv0);
     std::exit(2);
@@ -89,18 +96,20 @@ parse(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--threads")
-            opt.threads = static_cast<unsigned>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            opt.threads = static_cast<unsigned>(driver::parseUintFlag(
+                argv[0], arg, value(), 1, driver::kMaxFlagThreads,
+                usage));
         else if (arg == "--out") opt.out = value();
         else if (arg == "--sweep") {
             opt.sweep.tenantsPerCore.clear();
             for (const auto &t : splitList(value()))
                 opt.sweep.tenantsPerCore.push_back(
-                    static_cast<unsigned>(
-                        std::strtoul(t.c_str(), nullptr, 10)));
+                    static_cast<unsigned>(driver::parseUintFlag(
+                        argv[0], arg, t, 1, kMaxTenantsPerCore,
+                        usage)));
         } else if (arg == "--cores")
-            opt.sweep.cores = static_cast<unsigned>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            opt.sweep.cores = static_cast<unsigned>(driver::parseUintFlag(
+                argv[0], arg, value(), 1, kMaxCores, usage));
         else if (arg == "--workloads")
             opt.sweep.workloads = splitList(value());
         else if (arg == "--env")
@@ -109,45 +118,44 @@ parse(int argc, char **argv)
             opt.sweep.design = driver::parseDesign(value());
         else if (arg == "--thp") opt.sweep.thp = true;
         else if (arg == "--slice")
-            opt.sweep.sliceAccesses =
-                std::strtoull(value().c_str(), nullptr, 10);
+            opt.sweep.sliceAccesses = driver::parseUintFlag(
+                argv[0], arg, value(), 0, driver::kMaxFlagAccesses,
+                usage);
         else if (arg == "--policy")
             opt.sweep.flush = parseFlushPolicy(value());
         else if (arg == "--weighted")
             opt.sweep.slice = SlicePolicy::Weighted;
         else if (arg == "--migrate")
-            opt.sweep.migrateEveryRounds = static_cast<unsigned>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            opt.sweep.migrateEveryRounds =
+                static_cast<unsigned>(driver::parseUintFlag(
+                    argv[0], arg, value(), 0,
+                    std::numeric_limits<unsigned>::max(), usage));
         else if (arg == "--pinned")
-            opt.sweep.pinnedRegisters = static_cast<int>(
-                std::strtol(value().c_str(), nullptr, 10));
+            opt.sweep.pinnedRegisters =
+                static_cast<int>(driver::parseUintFlag(
+                    argv[0], arg, value(), 0,
+                    DmtRegisterFile::capacity, usage));
         else if (arg == "--scale")
             opt.sweep.scale =
-                1.0 / std::strtod(value().c_str(), nullptr);
+                driver::parseScaleFlag(argv[0], value(), usage);
         else if (arg == "--accesses")
-            opt.sweep.sim.measureAccesses =
-                std::strtoull(value().c_str(), nullptr, 10);
+            opt.sweep.sim.measureAccesses = driver::parseUintFlag(
+                argv[0], arg, value(), 1, driver::kMaxFlagAccesses,
+                usage);
         else if (arg == "--warmup")
-            opt.sweep.sim.warmupAccesses =
-                std::strtoull(value().c_str(), nullptr, 10);
+            opt.sweep.sim.warmupAccesses = driver::parseUintFlag(
+                argv[0], arg, value(), 0, driver::kMaxFlagAccesses,
+                usage);
         else if (arg == "--seed")
-            opt.sweep.baseSeed =
-                std::strtoull(value().c_str(), nullptr, 10);
-        else if (arg == "--batch") {
-            // Result-invariant (the batch-partition contract); kept
-            // out of the emitted config block like dmt-campaign.
-            opt.sweep.sim.batchSize =
-                std::strtoull(value().c_str(), nullptr, 10);
-            if (opt.sweep.sim.batchSize == 0)
-                usage(argv[0]);
-        }
+            opt.sweep.baseSeed = driver::parseUintFlag(
+                argv[0], arg, value(), 0, driver::kNoFlagMax, usage);
         else if (arg == "--events-dir") opt.eventsDir = value();
         else if (arg == "--host-events") opt.hostEvents = value();
         else if (arg == "--quiet") opt.quiet = true;
         else usage(argv[0]);
     }
     if (opt.threads == 0)
-        opt.threads = 1;
+        opt.threads = 1;  // hardware_concurrency() may report 0
     if (opt.sweep.tenantsPerCore.empty())
         fatal("empty --sweep list");
     if ((!opt.eventsDir.empty() || !opt.hostEvents.empty()) &&

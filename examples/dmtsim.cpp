@@ -5,7 +5,7 @@
  *
  *   dmtsim [--workload NAME] [--design NAME] [--env native|virt|
  *          nested] [--thp] [--scale N] [--accesses N] [--warmup N]
- *          [--seed N] [--batch N] [--audit[=N]] [--json FILE]
+ *          [--seed N] [--audit[=N]] [--json FILE]
  *          [--record-trace FILE | --trace FILE]
  *
  * --json writes the cell's results in the same schema as one entry
@@ -26,6 +26,7 @@
 #include <string>
 
 #include "driver/campaign.hh"
+#include "driver/cli.hh"
 #include "driver/json.hh"
 
 #include "check/invariant_auditor.hh"
@@ -53,7 +54,6 @@ struct Options
     std::uint64_t accesses = 1'000'000;
     std::uint64_t warmup = 200'000;
     std::uint64_t seed = 42;
-    std::uint64_t batch = kDefaultSimBatch;
     std::string recordTrace;
     std::string traceFile;
     std::string jsonOut;
@@ -72,7 +72,6 @@ usage(const char *argv0)
         "pvdmt]\n"
         "          [--env native|virt|nested] [--thp] [--scale N]\n"
         "          [--accesses N] [--warmup N] [--seed N]\n"
-        "          [--batch N (1 = scalar loop)]\n"
         "          [--audit[=N]] [--json FILE] [--events FILE]\n"
         "          [--record-trace FILE] [--trace FILE]\n",
         argv0);
@@ -95,18 +94,18 @@ parse(int argc, char **argv)
         else if (arg == "--env") opt.env = value();
         else if (arg == "--thp") opt.thp = true;
         else if (arg == "--scale")
-            opt.scale = 1.0 / std::strtod(value().c_str(), nullptr);
+            opt.scale = driver::parseScaleFlag(argv[0], value(), usage);
         else if (arg == "--accesses")
-            opt.accesses = std::strtoull(value().c_str(), nullptr, 10);
+            opt.accesses = driver::parseUintFlag(
+                argv[0], arg, value(), 1, driver::kMaxFlagAccesses,
+                usage);
         else if (arg == "--warmup")
-            opt.warmup = std::strtoull(value().c_str(), nullptr, 10);
+            opt.warmup = driver::parseUintFlag(
+                argv[0], arg, value(), 0, driver::kMaxFlagAccesses,
+                usage);
         else if (arg == "--seed")
-            opt.seed = std::strtoull(value().c_str(), nullptr, 10);
-        else if (arg == "--batch") {
-            opt.batch = std::strtoull(value().c_str(), nullptr, 10);
-            if (opt.batch == 0)
-                usage(argv[0]);
-        }
+            opt.seed = driver::parseUintFlag(argv[0], arg, value(), 0,
+                                             driver::kNoFlagMax, usage);
         else if (arg == "--json") opt.jsonOut = value();
         else if (arg == "--events") opt.eventsOut = value();
         else if (arg.rfind("--events=", 0) == 0)
@@ -116,8 +115,9 @@ parse(int argc, char **argv)
         else if (arg == "--audit") opt.audit = true;
         else if (arg.rfind("--audit=", 0) == 0) {
             opt.audit = true;
-            opt.auditInterval = std::strtoull(
-                arg.c_str() + std::strlen("--audit="), nullptr, 10);
+            opt.auditInterval = driver::parseUintFlag(
+                argv[0], "--audit", arg.substr(std::strlen("--audit=")),
+                0, driver::kNoFlagMax, usage);
         }
         else usage(argv[0]);
     }
@@ -183,9 +183,6 @@ main(int argc, char **argv)
     SimConfig simCfg;
     simCfg.warmupAccesses = opt.warmup;
     simCfg.measureAccesses = opt.accesses;
-    // Result-invariant (asserted by the batch differential suite):
-    // any batch size yields identical counters and event streams.
-    simCfg.batchSize = opt.batch;
 
     auto makeTrace = [&]() -> std::unique_ptr<TraceSource> {
         if (!opt.traceFile.empty())

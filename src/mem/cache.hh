@@ -59,17 +59,11 @@ class Cache
      * it in the same set scan. Exactly equivalent to `access(addr)`
      * followed (on miss) by `insert(addr)` — same hit/miss counters,
      * LRU stamps, victim choice, and MRU filter state — but with one
-     * scan instead of two. The batched simulator loop uses this for
+     * scan instead of two. The simulator loop uses this for
      * every hierarchy level that both probes and fills.
      * @return true on hit.
      */
     bool accessFill(Addr addr);
-
-    /**
-     * Pull the set that addr indexes to into the *host* CPU's caches
-     * ahead of an access()/insert(). No simulated effect whatsoever.
-     */
-    void hostPrefetch(Addr addr) const;
 
     /** Invalidate the line containing addr if present. */
     void invalidate(Addr addr);
@@ -162,7 +156,7 @@ Cache::accessTpl(Addr addr)
         return true;
     }
     const std::size_t base = setIndex(addr) * assoc;
-    // Wide tag scan over the contiguous tag array; invalid ways hold
+    // Tag scan over the contiguous tag array; invalid ways hold
     // the unmatchable sentinel, so no validity check.
     const int match = simd::findLastEqU64(&tags_[base], assoc, tag);
     if (match >= 0) {

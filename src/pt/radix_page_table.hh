@@ -160,30 +160,6 @@ class RadixPageTable
     WalkPath walkPath(Addr va) const;
 
     /**
-     * Functional result of one prefetch chase: the PTE slot addresses
-     * a walk of the VA would touch, and the final data PA (0 when the
-     * chase hit a non-present entry). Consumers feed the addresses to
-     * host-side cache prefetches; nothing here is simulated state.
-     */
-    struct PrefetchedWalk
-    {
-        Addr pa = 0;
-        std::uint8_t nSteps = 0;
-        std::array<Addr, WalkPath::capacity> pteAddr{};
-    };
-
-    /**
-     * Breadth-first functional chase of `n` independent walks for the
-     * batched pipeline: per tree level, first compute every live
-     * lane's PTE slot and hostPrefetch64() it (so the lanes' DRAM
-     * misses overlap), then read the PTEs and descend. Zero simulated
-     * effect — no cache charges, no PWC fills — it only records what
-     * walkPath() will touch and warms the host's caches for it.
-     */
-    void prefetchWalks(const Addr *vas, PrefetchedWalk *out,
-                       std::size_t n) const;
-
-    /**
      * Physical address of the *leaf* PTE for va, without walking —
      * what the DMT fetcher computes from a VMA-to-TEA mapping. Used by
      * tests to validate fetcher arithmetic against the real tree.

@@ -1,6 +1,5 @@
 #include "sim/translation_sim.hh"
 
-#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -14,52 +13,6 @@ namespace dmt
 
 namespace
 {
-
-/**
- * Compile-time per-design knobs of the specialized loops. The
- * primary template is the conservative default every design gets
- * through the generic `TranslationMechanism` instantiation; the
- * specializations below are the two concrete designs runRange()
- * dispatches on.
- */
-template <class Mech>
-struct MechTraits
-{
-    /**
-     * resolve() is known pure — a function of the page tables with
-     * no latency charges, no cache-state changes, and no counters
-     * (the TranslationMechanism contract, but only *known* for
-     * concrete types) — so the batched loop's per-batch memo may
-     * skip repeat resolves of one page. Designs without the trait
-     * get no memo and stay bitwise-safe.
-     */
-    static constexpr bool kPureResolve = false;
-    /**
-     * Whether the batched pipeline's walk-prefetch hint stage (the
-     * read-only miss screen + prefetchWalks) pays for this design.
-     * True for radix-style walkers, whose 4-step dependent chains
-     * the functional pre-chase genuinely overlaps; false for the
-     * DMT single-reference path, where the pre-chase re-does nearly
-     * the whole fetch in overhead (the measured e2e.dmt batching
-     * regression) — its prefetchWalks() is simply never called from
-     * the pipeline.
-     */
-    static constexpr bool kWalkPrefetch = true;
-};
-
-template <>
-struct MechTraits<RadixWalker>
-{
-    static constexpr bool kPureResolve = true;
-    static constexpr bool kWalkPrefetch = true;
-};
-
-template <>
-struct MechTraits<DmtNativeFetcher>
-{
-    static constexpr bool kPureResolve = true;
-    static constexpr bool kWalkPrefetch = false;
-};
 
 std::uint8_t
 narrow8(std::uint32_t v)
@@ -167,21 +120,12 @@ TranslationSimulator::dispatchRange(Mech &mech, TraceSource &trace,
                                     std::uint64_t begin,
                                     std::uint64_t end)
 {
-    if (config.batchSize <= 1) {
-        if (sink_)
-            scalarRange<true>(mech, trace, config, result, cells,
-                              begin, end);
-        else
-            scalarRange<false>(mech, trace, config, result, cells,
-                               begin, end);
-    } else {
-        if (sink_)
-            batchedRange<true>(mech, trace, config, result, cells,
-                               begin, end);
-        else
-            batchedRange<false>(mech, trace, config, result, cells,
-                                begin, end);
-    }
+    if (sink_)
+        scalarRange<true>(mech, trace, config, result, cells, begin,
+                          end);
+    else
+        scalarRange<false>(mech, trace, config, result, cells, begin,
+                           end);
 }
 
 void
@@ -316,260 +260,10 @@ TranslationSimulator::scalarRange(Mech &mech, TraceSource &trace,
         caches_.setEventTally(nullptr);
 }
 
-template <bool kTrace, class Mech>
-void
-TranslationSimulator::batchedRange(Mech &mech, TraceSource &trace,
-                                   const SimConfig &config,
-                                   SimResult &result,
-                                   SimStepCells &cells,
-                                   std::uint64_t begin,
-                                   std::uint64_t end)
-{
-    mech.recordSteps(kTrace || config.recordSteps);
-    CacheTally tally;
-    static const std::vector<WalkStepCost> kNoSteps;
-    if constexpr (kTrace)
-        caches_.setEventTally(&tally);
-
-    // Struct-of-arrays batch buffers.
-    const std::uint64_t batch = config.batchSize;
-    std::vector<Addr> vas(batch);
-    std::vector<Addr> missVas;
-    missVas.reserve(batch);
-
-    /**
-     * Per-batch translation memo over the TLB-hit resolve path,
-     * exploiting intra-batch page locality: a batch touching one 4 KB
-     * page 50 times resolves it once instead of 50 times. Keyed on
-     * the 4 KB VPN and valid for the current batch only (epoch
-     * check); both walk() results and resolve() results seed it.
-     * Correctness: resolve() is pure for designs carrying the
-     *   kPureResolve trait, and the memoized base reproduces its
-     *   value exactly — pa's low 12 bits always equal va's (every
-     *   page size is 4 KB-aligned and ≥ 4 KB), so
-     *   `base | (va & 0xfff)` with `base = pa & ~0xfff` is the
-     *   resolve() result for every va in that 4 KB page, whatever
-     *   the mapping granularity. Nothing else in the hit path is
-     *   skipped — the data-access cache charge still happens per
-     *   access — so counters, stepCosts, and event streams are
-     *   charged exactly as if each access probed (the `ctest -L
-     *   perf` differential suite pins this against --batch 1).
-     */
-    constexpr bool kMemo = MechTraits<Mech>::kPureResolve;
-    constexpr std::uint64_t kMemoSlots = 512;  // direct-mapped
-    std::vector<std::uint64_t> memoVpn;
-    std::vector<Addr> memoBase;
-    std::vector<std::uint64_t> memoEpoch;
-    std::uint64_t epoch = 0;
-    if constexpr (kMemo) {
-        memoVpn.assign(kMemoSlots, ~0ull);
-        memoBase.assign(kMemoSlots, 0);
-        memoEpoch.assign(kMemoSlots, 0);
-    }
-
-    // Hint-stage gate: when the simulated model state is small enough
-    // to live in the host's caches, warming it ahead of stage 4 buys
-    // nothing and costs real time per access. The stages are
-    // result-neutral (read-only probes and host prefetches), so
-    // skipping them cannot change any counter or event.
-    const HierarchyConfig &hier = caches_.config();
-    const Addr modelBytes =
-        hier.l1d.sizeBytes + hier.l2.sizeBytes + hier.llc.sizeBytes +
-        16 *
-            (static_cast<Addr>(tlbs_.l1d().config().entries) +
-             static_cast<Addr>(tlbs_.stlb().config().entries));
-    const bool hostHints =
-        modelBytes >= config.prefetchMinModelBytes;
-
-    std::uint64_t i = begin;
-    while (i < end) {
-        std::uint64_t n = std::min(batch, end - i);
-        // Batches never straddle the warmup boundary, so `measuring`
-        // is one branch per batch instead of one per access.
-        if (i < config.warmupAccesses)
-            n = std::min(n, config.warmupAccesses - i);
-        const bool measuring = i >= config.warmupAccesses;
-
-        // Stage 1: bulk trace fill — one virtual call per batch.
-        trace.fill(vas.data(), n);
-
-        if (hostHints) {
-            // Stage 2: warm the TLB sets the lookups will scan.
-            for (std::uint64_t j = 0; j < n; ++j)
-                tlbs_.hostPrefetch(vas[j]);
-            // The read-only screen for the slots expected to miss
-            // and the walk pre-chase it feeds only run for designs
-            // whose walks the pre-chase genuinely overlaps (see
-            // MechTraits::kWalkPrefetch) — on the DMT
-            // single-reference path the pair is pure overhead. The
-            // screen is a prediction — walk-driven inserts below can
-            // flip later slots — but a wrong guess only wastes a
-            // hint.
-            if constexpr (MechTraits<Mech>::kWalkPrefetch) {
-                missVas.clear();
-                for (std::uint64_t j = 0; j < n; ++j) {
-                    if (!tlbs_.probeData(vas[j]))
-                        missVas.push_back(vas[j]);
-                }
-
-                // Stage 3: the mechanism functionally chases the
-                // predicted walks and warms the host caches for what
-                // walk() will touch.
-                if (!missVas.empty())
-                    mech.prefetchWalks(missVas.data(),
-                                       missVas.size());
-            }
-        }
-
-        // Stage 4: the exact commit pass — identical simulated
-        // operations in identical order to the scalar loop, with
-        // counters held in per-batch accumulators.
-        ++epoch;  // invalidates the whole memo in O(1)
-        BatchStats bs;
-        for (std::uint64_t j = 0; j < n; ++j) {
-            const Addr va = vas[j];
-            PageSize hitSize = PageSize::Size4K;
-            TlbHierarchy::Result tlb;
-            if constexpr (kTrace) {
-                tally.reset();
-                tlb = tlbs_.lookupData(va, &hitSize);
-            } else {
-                tlb = tlbs_.lookupData(va);
-            }
-
-            ++bs.accesses;
-            if (tlb == TlbHierarchy::Result::L1Hit)
-                ++bs.l1TlbHits;
-            else if (tlb == TlbHierarchy::Result::L2Hit)
-                ++bs.l2TlbHits;
-
-            if (tlb == TlbHierarchy::Result::Miss) {
-                const WalkRecord rec = mech.walk(va);
-                tlbs_.insertData(va, rec.size);
-                if constexpr (kMemo) {
-                    // Seed the memo: later hits on this page skip
-                    // their resolve().
-                    const std::uint64_t vpn = va >> pageShift;
-                    const std::size_t slot = vpn & (kMemoSlots - 1);
-                    memoVpn[slot] = vpn;
-                    memoBase[slot] = rec.pa & ~Addr{0xfff};
-                    memoEpoch[slot] = epoch;
-                }
-                ++bs.walks;
-                bs.walkCycles += static_cast<Counter>(rec.latency);
-                bs.seqRefs += static_cast<Counter>(rec.seqRefs);
-                bs.parallelRefs +=
-                    static_cast<Counter>(rec.parallelRefs);
-                if (rec.fellBack)
-                    ++bs.fallbacks;
-                if (measuring) {
-                    for (const auto &step : rec.steps) {
-                        const int idx = stepCellIndex(step);
-                        cells.cycles[idx] += step.cycles;
-                        ++cells.counts[idx];
-                    }
-                }
-                // The data access, at the walked physical address.
-                caches_.access(rec.pa);
-                if constexpr (kTrace) {
-                    obs::TranslationEvent ev;
-                    ev.accessId = i + j;
-                    ev.va = va;
-                    ev.pa = rec.pa;
-                    DMT_ASSERT(rec.latency <= 0xffffffffull,
-                               "walk latency overflows the event "
-                               "record");
-                    ev.walkCycles =
-                        static_cast<std::uint32_t>(rec.latency);
-                    ev.seqRefs = narrow16(
-                        static_cast<std::uint64_t>(rec.seqRefs));
-                    ev.parallelRefs = narrow16(
-                        static_cast<std::uint64_t>(
-                            rec.parallelRefs));
-                    ev.tlb = static_cast<std::uint8_t>(
-                        obs::TlbLevel::Miss);
-                    ev.path = static_cast<std::uint8_t>(
-                        obs::eventPathOf(rec.path));
-                    ev.pageSize =
-                        static_cast<std::uint8_t>(rec.size);
-                    ev.pwcStartLevel = rec.pwcStartLevel;
-                    ev.pwcHits = rec.pwcHits;
-                    ev.pwcMisses = rec.pwcMisses;
-                    ev.nestedPwcHits = rec.nestedPwcHits;
-                    ev.nestedPwcMisses = rec.nestedPwcMisses;
-                    ev.nestedWalks = rec.nestedWalks;
-                    ev.dmtProbes = rec.dmtProbes;
-                    ev.dmtFaults = rec.dmtFaults;
-                    ev.flags = static_cast<std::uint8_t>(
-                        (measuring ? obs::kEventMeasured : 0) |
-                        (rec.gteaPath ? obs::kEventGtea : 0) |
-                        (rec.fellBack ? obs::kEventFellBack : 0));
-                    fillTally(ev, tally);
-                    sink_->emit(ev, rec.steps);
-                }
-            } else {
-                // Data access via the functional translation,
-                // memoized per batch for pure-resolve designs.
-                Addr pa;
-                if constexpr (kMemo) {
-                    const std::uint64_t vpn = va >> pageShift;
-                    const std::size_t slot = vpn & (kMemoSlots - 1);
-                    if (memoEpoch[slot] == epoch &&
-                        memoVpn[slot] == vpn) {
-                        pa = memoBase[slot] | (va & Addr{0xfff});
-                    } else {
-                        pa = mech.resolve(va);
-                        memoVpn[slot] = vpn;
-                        memoBase[slot] = pa & ~Addr{0xfff};
-                        memoEpoch[slot] = epoch;
-                    }
-                } else {
-                    pa = mech.resolve(va);
-                }
-                caches_.access(pa);
-                if constexpr (kTrace) {
-                    obs::TranslationEvent ev;
-                    ev.accessId = i + j;
-                    ev.va = va;
-                    ev.pa = pa;
-                    ev.tlb = static_cast<std::uint8_t>(
-                        tlb == TlbHierarchy::Result::L1Hit
-                            ? obs::TlbLevel::L1
-                            : obs::TlbLevel::Stlb);
-                    ev.path = static_cast<std::uint8_t>(
-                        obs::EventPath::TlbHit);
-                    ev.pageSize = static_cast<std::uint8_t>(hitSize);
-                    ev.flags = measuring ? obs::kEventMeasured : 0;
-                    fillTally(ev, tally);
-                    sink_->emit(ev, kNoSteps);
-                }
-            }
-        }
-
-        // Fold the batch accumulators. Walk latencies are integers
-        // and the run totals stay far below 2^53, so one double
-        // conversion here equals the scalar loop's per-walk adds.
-        if (measuring) {
-            result.accesses += bs.accesses;
-            result.l1TlbHits += bs.l1TlbHits;
-            result.l2TlbHits += bs.l2TlbHits;
-            result.walks += bs.walks;
-            result.fallbacks += bs.fallbacks;
-            result.walkCycles += static_cast<double>(bs.walkCycles);
-            result.seqRefs += bs.seqRefs;
-            result.parallelRefs += bs.parallelRefs;
-        }
-        i += n;
-    }
-
-    if constexpr (kTrace)
-        caches_.setEventTally(nullptr);
-}
-
-// The loop templates are instantiated implicitly through runRange's
+// The loop template is instantiated implicitly through runRange's
 // dispatch: (RadixWalker, DmtNativeFetcher, TranslationMechanism) ×
-// (traced, untraced) × (scalar, batched) — twelve loop bodies, all
-// private to this translation unit.
+// (traced, untraced) — six loop bodies, all private to this
+// translation unit.
 
 SimSession::SimSession(TranslationSimulator &sim, TraceSource &trace,
                        const SimConfig &config)

@@ -13,7 +13,6 @@
 #ifndef DMT_SIM_TRANSLATION_SIM_HH
 #define DMT_SIM_TRANSLATION_SIM_HH
 
-#include <cstddef>
 #include <cstdint>
 #include <map>
 
@@ -38,24 +37,7 @@ class TraceSource
 
     /** @return the next accessed virtual address. */
     virtual Addr next() = 0;
-
-    /**
-     * Bulk-fill `n` consecutive addresses into `out` — one virtual
-     * call per batch instead of per access. The default simply loops
-     * next(), so every existing source keeps working unchanged;
-     * sources with cheap bulk access (e.g. FileTrace) override it.
-     * Must produce exactly the sequence `n` next() calls would.
-     */
-    virtual void
-    fill(Addr *out, std::size_t n)
-    {
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = next();
-    }
 };
-
-/** Default batch size of the batched simulation pipeline. */
-inline constexpr std::uint64_t kDefaultSimBatch = 256;
 
 /** Simulation lengths. */
 struct SimConfig
@@ -66,25 +48,6 @@ struct SimConfig
     Cycles tlbHitCycles = 1;
     /** Record per-step walk costs (Figure 16). */
     bool recordSteps = false;
-    /**
-     * Accesses per pipeline batch. 1 forces the scalar reference
-     * loop; anything larger runs the struct-of-arrays batched
-     * pipeline, whose results are bit-identical to the scalar loop's
-     * (the `ctest -L perf` differential suite holds it to that).
-     */
-    std::uint64_t batchSize = kDefaultSimBatch;
-    /**
-     * Host-prefetch gate for the batched pipeline's hint stages
-     * (TLB-set warming, read-only miss screen, walk prefetch). The
-     * hints have zero simulated effect — they only pay off when the
-     * model's own state (caches + TLBs) outgrows the host CPU's
-     * caches, and below that they are pure per-access overhead. The
-     * batched loop therefore skips them when the combined simulated
-     * cache + TLB footprint is under this threshold. Set to 0 to
-     * force the hint stages on regardless of model size (the
-     * differential suite does, to pin their result-neutrality).
-     */
-    Addr prefetchMinModelBytes = Addr{8} << 20;
 };
 
 /** Aggregate results of one simulation. */
@@ -128,32 +91,12 @@ struct SimResult
 };
 
 /**
- * Per-batch accumulators of the batched pipeline. The fields mirror
- * their SimResult counterparts one-to-one (walkCycles stays integral
- * here — walk latencies are integers, so one double conversion at
- * batch-fold time loses nothing) and are folded into the SimResult
- * at the end of every batch, keeping the hot loop's counter updates
- * register-resident.
- */
-struct BatchStats
-{
-    Counter accesses = 0;
-    Counter l1TlbHits = 0;
-    Counter l2TlbHits = 0;
-    Counter walks = 0;
-    Counter fallbacks = 0;
-    Counter walkCycles = 0;
-    Counter seqRefs = 0;
-    Counter parallelRefs = 0;
-};
-
-/**
- * Flat step-cost accumulator of the batched pipeline: Figure-16
- * slots (1-24) occupy cells below 32, (dimension, level) pairs the
- * cells above. Replaces the scalar loop's per-step std::map lookup;
- * folded into SimResult::stepCosts once per run (or once per
- * SimSession, whose slices all accumulate into the same cells, so
- * slicing cannot change the fold).
+ * Flat step-cost accumulator: Figure-16 slots (1-24) occupy cells
+ * below 32, (dimension, level) pairs the cells above. Replaces a
+ * per-step std::map lookup in the loop; folded into
+ * SimResult::stepCosts once per run (or once per SimSession, whose
+ * slices all accumulate into the same cells, so slicing cannot
+ * change the fold).
  */
 struct SimStepCells
 {
@@ -178,10 +121,9 @@ class TranslationSimulator
      * the whole range; SimSession (and through it the host node's
      * time slicing) issues many. Any partition of [0, total) into
      * consecutive ranges produces results and event streams
-     * byte-identical to one run() — the batched pipeline's
-     * batch-partition invariance (ctest -L perf) is exactly this
-     * property, and the scalar loop carries no cross-access state
-     * outside the simulated structures.
+     * byte-identical to one run(): the loop carries no cross-access
+     * state outside the simulated structures (ctest -L host pins
+     * slice invariance).
      */
     void runRange(TraceSource &trace, const SimConfig &config,
                   SimResult &result, SimStepCells &cells,
@@ -202,14 +144,13 @@ class TranslationSimulator
   private:
     /**
      * Design-specialized dispatch: runRange() downcasts the
-     * mechanism to the concrete designs the hot loops are worth
+     * mechanism to the concrete designs the loop is worth
      * specializing for (the native radix walker and the native DMT
      * fetcher — both `final`, with walk()/resolve() defined in their
-     * headers) and instantiates the loops per (design × trace-mode),
-     * so the commit pass inlines the walk and fetch bodies instead
-     * of calling through `TranslationMechanism*`. Every other design
-     * takes the generic instantiation, whose `Mech` is the abstract
-     * base — byte-for-byte the old virtual-dispatch loop.
+     * headers) and instantiates the loop per (design × trace-mode),
+     * so it inlines the walk and fetch bodies instead of calling
+     * through `TranslationMechanism*`. Every other design takes the
+     * generic instantiation, whose `Mech` is the abstract base.
      */
     template <class Mech>
     void dispatchRange(Mech &mech, TraceSource &trace,
@@ -217,19 +158,12 @@ class TranslationSimulator
                        SimStepCells &cells, std::uint64_t begin,
                        std::uint64_t end);
 
-    /** The scalar reference loop (batchSize <= 1). */
+    /** The translation loop over accesses [begin, end). */
     template <bool kTrace, class Mech>
     void scalarRange(Mech &mech, TraceSource &trace,
                      const SimConfig &config, SimResult &result,
                      SimStepCells &cells, std::uint64_t begin,
                      std::uint64_t end);
-
-    /** The struct-of-arrays batched pipeline (batchSize > 1). */
-    template <bool kTrace, class Mech>
-    void batchedRange(Mech &mech, TraceSource &trace,
-                      const SimConfig &config, SimResult &result,
-                      SimStepCells &cells, std::uint64_t begin,
-                      std::uint64_t end);
 
     TranslationMechanism &mechanism_;
     TlbHierarchy &tlbs_;

@@ -197,7 +197,7 @@ PageWalkCache::lookup(Addr va, int root_level, Pfn root_pfn)
 {
     ++tick_;
     // Deepest first: a cached L1-table pointer means only the leaf
-    // PTE remains to be fetched. Wide key match per bank; the
+    // PTE remains to be fetched. One key match per bank; the
     // duplicate-tag invariant (audited) makes the last match the
     // only match.
     for (int t = 1; t <= 3; ++t) {

@@ -59,13 +59,6 @@ class Tlb
      */
     std::optional<PageSize> probe(Addr va) const;
 
-    /**
-     * Pull the sets a lookup for va would scan into the *host* CPU's
-     * caches. No simulated effect — the batched pipeline issues these
-     * one stage ahead of the real lookups.
-     */
-    void hostPrefetch(Addr va) const;
-
     /** Install a translation for the page of `size` containing va. */
     void insert(Addr va, PageSize size);
 
@@ -179,7 +172,7 @@ Tlb::findInTpl(std::size_t set, std::uint64_t key) const
 {
     const int assoc = kAssoc ? kAssoc : config_.associativity;
     const std::size_t base = set * assoc;
-    // Wide sweep over the contiguous packed keys: invalid ways hold
+    // Sweep over the contiguous packed keys: invalid ways hold
     // the unmatchable sentinel, and duplicate (vpn, size) pairs are
     // impossible (audited), so the last match is the only match.
     return simd::findLastEqU64(&keys_[base], assoc, key);
@@ -300,27 +293,6 @@ class TlbHierarchy
 
     /** Install a completed translation into L1D and STLB. */
     void insertData(Addr va, PageSize size);
-
-    /**
-     * Read-only screen: would lookupData(va) hit either level right
-     * now? No LRU promotion, no counters, no L1 refill — this is the
-     * batched pipeline's miss predictor, used only to decide which
-     * slots are worth issuing walk prefetch hints for.
-     */
-    bool
-    probeData(Addr va) const
-    {
-        return l1d_.probe(va).has_value() ||
-               stlb_.probe(va).has_value();
-    }
-
-    /** Host-cache warmup of the sets lookupData(va) will scan. */
-    void
-    hostPrefetch(Addr va) const
-    {
-        l1d_.hostPrefetch(va);
-        stlb_.hostPrefetch(va);
-    }
 
     /** Flush all levels. */
     void flush();

@@ -50,12 +50,6 @@ class GuestMemoryView : public Memory
     }
 
     void
-    hostPrefetch64(Addr pa) const override
-    {
-        backing_.hostPrefetch64(translate_(pa));
-    }
-
-    void
     write64(Addr pa, std::uint64_t value) override
     {
         backing_.write64(translate_(pa), value);

@@ -1,6 +1,5 @@
 #include "workloads/trace_file.hh"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -110,20 +109,6 @@ FileTrace::next()
     const Addr va = addrs_[cursor_];
     cursor_ = (cursor_ + 1) % addrs_.size();
     return va;
-}
-
-void
-FileTrace::fill(Addr *out, std::size_t n)
-{
-    while (n > 0) {
-        const std::size_t run =
-            std::min(n, addrs_.size() - cursor_);
-        std::memcpy(out, addrs_.data() + cursor_,
-                    run * sizeof(Addr));
-        cursor_ = (cursor_ + run) % addrs_.size();
-        out += run;
-        n -= run;
-    }
 }
 
 } // namespace dmt

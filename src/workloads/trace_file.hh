@@ -36,9 +36,6 @@ class FileTrace : public TraceSource
 
     Addr next() override;
 
-    /** Chunked wraparound copy — no per-address virtual call. */
-    void fill(Addr *out, std::size_t n) override;
-
     std::uint64_t size() const { return addrs_.size(); }
 
   private:

@@ -69,24 +69,6 @@ class BaseTrace : public TraceSource
         return nextMain();
     }
 
-    /**
-     * Batch fill for the pipeline's stage 1: one virtual call per
-     * batch, and each access pays a single nextMain() dispatch
-     * instead of the two-hop next() -> nextMain() chain. Produces
-     * exactly the sequence n next() calls would (same rng_ draws in
-     * the same order).
-     */
-    void
-    fill(Addr *out, std::size_t n) override
-    {
-        for (std::size_t i = 0; i < n; ++i) {
-            if (rng_.uniform() < hotFraction)
-                out[i] = stackBase + 0x800 * rng_.below(8);
-            else
-                out[i] = nextMain();
-        }
-    }
-
   protected:
     virtual Addr nextMain() = 0;
 

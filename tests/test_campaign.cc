@@ -3,13 +3,19 @@
  * Tests for the campaign runner (src/driver): grid enumeration,
  * per-cell seed derivation, the deterministic JSON emitter, and the
  * headline property — the merged campaign report is byte-identical
- * regardless of thread count.
+ * regardless of thread count — plus the GUPS cells of the checked-in
+ * BENCH_campaign.json as a reference for every design's loop.
  */
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -157,17 +163,114 @@ TEST(Campaign, TimingSidecarIsSeparateFromReport)
               std::string::npos);
 }
 
+/** One report cell: field name -> the value text as emitted. */
+using CellFields = std::map<std::string, std::string>;
+
 /**
- * Run the dmt-campaign binary with `args` in place of this process.
+ * The cells of a dmt-campaign-v1 report, in order. The emitter
+ * writes one field per line, so a line scan recovers every value's
+ * exact text.
+ */
+std::vector<CellFields>
+reportCells(std::istream &in)
+{
+    std::vector<CellFields> cells;
+    bool inCells = false;
+    std::string line;
+    while (std::getline(in, line)) {
+        const auto first = line.find_first_not_of(' ');
+        if (first == std::string::npos)
+            continue;
+        const std::string text = line.substr(first);
+        if (!inCells) {
+            inCells = text == "\"cells\": [";
+            continue;
+        }
+        if (text[0] == ']')
+            break;
+        if (text[0] == '{') {
+            cells.emplace_back();
+            continue;
+        }
+        const auto sep = text.find("\": ");
+        if (text[0] != '"' || sep == std::string::npos || cells.empty())
+            continue;
+        std::string value = text.substr(sep + 3);
+        if (!value.empty() && value.back() == ',')
+            value.pop_back();
+        cells.back()[text.substr(1, sep - 1)] = value;
+    }
+    return cells;
+}
+
+/**
+ * Every GUPS cell of the checked-in campaign (all 15 env x design
+ * pairs, THP off and on) rerun at the report's own config must
+ * reproduce its cell field for field. The golden stats and event
+ * digests pin only native vanilla/DMT; this covers the generic
+ * virtual-dispatch loop every virt and nested design runs.
+ */
+TEST(CampaignReference, GupsCellsMatchCheckedInReport)
+{
+    std::ifstream ref(DMT_CAMPAIGN_REFERENCE);
+    ASSERT_TRUE(ref) << "cannot open " << DMT_CAMPAIGN_REFERENCE;
+    const auto refCells = reportCells(ref);
+
+    CampaignConfig cfg;  // BENCH_campaign.json's config block
+    cfg.workloads = {"GUPS"};
+    cfg.includeThp = true;
+    cfg.scale = 1.0 / 256.0;
+    cfg.baseSeed = 42;
+    cfg.sim.warmupAccesses = 10'000;
+    cfg.sim.measureAccesses = 50'000;
+    std::ostringstream report;
+    emitCampaignJson(report, cfg, runCampaign(cfg, 1));
+    std::istringstream rerun(report.str());
+    const auto cells = reportCells(rerun);
+    ASSERT_EQ(cells.size(), 30u);
+
+    using Key = std::tuple<std::string, std::string, std::string,
+                           std::string>;
+    auto keyOf = [](const CellFields &c) {
+        return Key{c.at("env"), c.at("workload"), c.at("design"),
+                   c.at("thp")};
+    };
+    std::map<Key, const CellFields *> byKey;
+    for (const auto &c : refCells)
+        byKey[keyOf(c)] = &c;
+    for (const auto &cell : cells) {
+        const auto it = byKey.find(keyOf(cell));
+        ASSERT_NE(it, byKey.end())
+            << "no reference cell for " << cell.at("env") << "/"
+            << cell.at("design") << " thp=" << cell.at("thp");
+        EXPECT_EQ(cell.size(), it->second->size());
+        for (const auto &[field, value] : cell) {
+            const auto ref_it = it->second->find(field);
+            ASSERT_NE(ref_it, it->second->end()) << field;
+            EXPECT_EQ(value, ref_it->second)
+                << cell.at("env") << "/" << cell.at("design")
+                << " thp=" << cell.at("thp") << ": " << field;
+        }
+    }
+}
+
+/**
+ * Run the driver binary `bin` with `args` in place of this process.
  * Only ever called inside a death test's child.
  */
 [[noreturn]] void
+execBinary(const char *bin, std::vector<const char *> args)
+{
+    args.insert(args.begin(), bin);
+    args.push_back(nullptr);
+    ::execv(bin, const_cast<char *const *>(args.data()));
+    ::_exit(127);  // exec failed: not the usage exit the tests expect
+}
+
+[[noreturn]] void
 execCampaign(std::vector<const char *> args)
 {
-    args.insert(args.begin(), DMT_CAMPAIGN_BIN);
-    args.push_back(nullptr);
-    ::execv(DMT_CAMPAIGN_BIN, const_cast<char *const *>(args.data()));
-    ::_exit(127);  // exec failed: not the usage exit the tests expect
+    execBinary(DMT_CAMPAIGN_BIN, std::move(args));
 }
 
 // --list would otherwise print the grid and exit 0, so a flag that
@@ -193,6 +296,53 @@ TEST(CampaignCliDeathTest, ValidGridSizesStillList)
 {
     EXPECT_EXIT(execCampaign({"--threads", "1", "--scale", "256",
                               "--list"}),
+                ::testing::ExitedWithCode(0), "");
+}
+
+TEST(DriverCliDeathTest, ZeroScaleIsAUsageError)
+{
+    EXPECT_EXIT(execBinary(DMTSIM_BIN, {"--scale", "0"}),
+                ::testing::ExitedWithCode(2),
+                "--scale must be a positive number");
+    EXPECT_EXIT(execBinary(DMT_NODE_BIN, {"--scale", "0"}),
+                ::testing::ExitedWithCode(2),
+                "--scale must be a positive number");
+}
+
+TEST(DriverCliDeathTest, PartialOrNegativeCountIsAUsageError)
+{
+    // A prefix parse would run 12 accesses; a wrapped one 2^64 - 5.
+    EXPECT_EXIT(execBinary(DMTSIM_BIN, {"--accesses", "12abc"}),
+                ::testing::ExitedWithCode(2),
+                "--accesses expects an unsigned integer, got '12abc'");
+    EXPECT_EXIT(execBinary(DMTSIM_BIN, {"--accesses", "-5"}),
+                ::testing::ExitedWithCode(2),
+                "--accesses expects an unsigned integer, got '-5'");
+}
+
+TEST(DriverCliDeathTest, BatchIsAnUnknownFlag)
+{
+    EXPECT_EXIT(execBinary(DMTSIM_BIN, {"--batch", "1"}),
+                ::testing::ExitedWithCode(2), "");
+    EXPECT_EXIT(execCampaign({"--batch", "1", "--list"}),
+                ::testing::ExitedWithCode(2), "");
+    EXPECT_EXIT(execBinary(DMT_NODE_BIN, {"--batch", "1"}),
+                ::testing::ExitedWithCode(2), "");
+}
+
+TEST(DriverCliDeathTest, ValidFlagsStillRun)
+{
+    EXPECT_EXIT(execBinary(DMTSIM_BIN,
+                           {"--workload", "GUPS", "--scale", "512",
+                            "--accesses", "2000", "--warmup", "500",
+                            "--seed", "7", "--audit=0"}),
+                ::testing::ExitedWithCode(0), "");
+    EXPECT_EXIT(execBinary(DMT_NODE_BIN,
+                           {"--threads", "1", "--sweep", "1",
+                            "--cores", "1", "--scale", "512",
+                            "--slice", "256", "--accesses", "2000",
+                            "--warmup", "500", "--pinned", "2",
+                            "--out", "/dev/null", "--quiet"}),
                 ::testing::ExitedWithCode(0), "");
 }
 

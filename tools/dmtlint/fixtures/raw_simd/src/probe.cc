@@ -1,6 +1,6 @@
 // Fixture: raw-simd fires on vendor intrinsics and intrinsic headers
-// anywhere outside src/common/simd.hh — x86 and NEON alike — while a
-// suppression with a reason silences it.
+// in any file — x86 and NEON alike — while a suppression with a
+// reason silences it.
 #include <immintrin.h>  // want: raw-simd
 
 unsigned long long

@@ -1,5 +1,5 @@
 // Fixture: the registration surface — a different unit reads the
-// result fields the batch buffer mirrors, keeping them alive.
+// result fields the accumulator mirrors, keeping them alive.
 #include "loop.hh"
 
 Counter

@@ -8,10 +8,10 @@ Style rules (ported from the original tools/lint.py):
   raw-logging      no printf/iostream output in src/ outside
                    common/log
   raw-simd         no vendor SIMD intrinsics (_mm_*, _mm256_*,
-                   vld1q_*, <immintrin.h>, ...) outside
-                   src/common/simd.hh; call sites express intent
-                   through the wide-ops kernels so the backend choice
-                   (and its scalar fallback) stays in one file
+                   vld1q_*, <immintrin.h>, ...) in any file; the
+                   probe loops use the scalar scans of
+                   src/common/simd.hh, which measured faster than
+                   the vector backends they replaced
 
 Determinism and correctness rules (this file's reason to exist —
 BENCH_campaign.json and .dmtevents streams must be byte-identical
@@ -150,11 +150,10 @@ class RawLogging(Rule):
 @register
 class RawSimd(Rule):
     name = "raw-simd"
-    contract = ("vendor SIMD intrinsics live in src/common/simd.hh "
-                "and nowhere else; call sites use the wide-ops "
-                "kernels so every probe loop keeps a scalar fallback "
-                "and one file owns the backend choice")
-    allowed_files = frozenset({"src/common/simd.hh"})
+    contract = ("no file holds vendor SIMD intrinsics; probe loops "
+                "use the scalar scans of src/common/simd.hh, which "
+                "measured faster than the deleted vector backends")
+    allowed_files = frozenset()
     PATTERN = re.compile(
         # x86 intrinsic headers and the SSE/AVX intrinsic and vector
         # type namespaces; ARM's NEON header and the core load/store/
@@ -169,9 +168,8 @@ class RawSimd(Rule):
     def check_file(self, f):
         for lineno, line in enumerate(f.lines, 1):
             if self.PATTERN.search(line):
-                yield lineno, ("vendor SIMD intrinsic outside "
-                               "src/common/simd.hh; add or use a "
-                               "wide-ops kernel instead")
+                yield lineno, ("vendor SIMD intrinsic; use the "
+                               "scalar scans of src/common/simd.hh")
 
 
 # ---------------------------------------------------------------- #
