@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/log.hh"
+#include "driver/cli.hh"
 #include "driver/json.hh"
 
 namespace dmt
@@ -17,31 +18,46 @@ namespace bench
 namespace
 {
 
+/** The name the knob diagnostics are prefixed with. */
+constexpr const char *kProgram = "dmt-bench";
+
+/** The bench binaries have no usage text: a bad knob just exits 2
+ *  after its diagnostic. */
+[[noreturn]] void
+knobUsage(const char *)
+{
+    std::exit(2);
+}
+
 std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
+envCount(const char *name, std::uint64_t lo, std::uint64_t fallback)
 {
     const char *value = std::getenv(name);
     if (!value)
         return fallback;
-    return std::strtoull(value, nullptr, 10);
+    return driver::parseUintFlag(kProgram, name, value, lo,
+                                 driver::kMaxFlagAccesses, knobUsage);
 }
 
 } // namespace
 
 SimConfig
-simConfigFromEnv(bool record_steps)
+simConfigFromEnv()
 {
     SimConfig cfg;
-    cfg.measureAccesses = envU64("DMT_BENCH_ACCESSES", 1'000'000);
-    cfg.warmupAccesses = envU64("DMT_BENCH_WARMUP", 200'000);
-    cfg.recordSteps = record_steps;
+    cfg.measureAccesses = envCount("DMT_BENCH_ACCESSES", 1, 1'000'000);
+    cfg.warmupAccesses = envCount("DMT_BENCH_WARMUP", 0, 200'000);
     return cfg;
 }
 
 double
 scaleFromEnv()
 {
-    return 1.0 / static_cast<double>(envU64("DMT_BENCH_SCALE", 16));
+    const char *value = std::getenv("DMT_BENCH_SCALE");
+    if (!value)
+        return 1.0 / 16.0;
+    return driver::parseScaleFlag(kProgram, "DMT_BENCH_SCALE", value,
+                                  knobUsage);
 }
 
 TestbedConfig
@@ -58,31 +74,11 @@ testbedConfig(bool thp)
 }
 
 Outcome
-runNative(Workload &workload, Design design, bool thp,
-          std::uint64_t seed)
+runIn(Env env, Workload &workload, Design design, bool thp,
+      std::uint64_t seed, bool record_steps)
 {
-    return driver::runCell(workload, driver::CampaignEnv::Native,
-                           design, testbedConfig(thp),
-                           simConfigFromEnv(), seed);
-}
-
-Outcome
-runVirt(Workload &workload, Design design, bool thp,
-        std::uint64_t seed, bool record_steps)
-{
-    return driver::runCell(workload, driver::CampaignEnv::Virt,
-                           design, testbedConfig(thp),
-                           simConfigFromEnv(record_steps), seed,
-                           record_steps);
-}
-
-Outcome
-runNested(Workload &workload, Design design, bool thp,
-          std::uint64_t seed)
-{
-    return driver::runCell(workload, driver::CampaignEnv::Nested,
-                           design, testbedConfig(thp),
-                           simConfigFromEnv(), seed);
+    return driver::runCell(workload, env, design, testbedConfig(thp),
+                           simConfigFromEnv(), seed, record_steps);
 }
 
 Table::Table(std::vector<std::string> header)

@@ -10,10 +10,14 @@
  * this layer adds environment sizing and table/JSON presentation.
  *
  * Environment knobs (all optional):
- *   DMT_BENCH_ACCESSES  measured accesses per cell (default 1000000)
+ *   DMT_BENCH_ACCESSES  measured accesses per cell, >= 1 (default
+ *                       1000000)
  *   DMT_BENCH_WARMUP    warmup accesses (default 200000)
- *   DMT_BENCH_SCALE     working-set scale denominator (default 16,
- *                       i.e. 1/16 of the paper's footprints)
+ *   DMT_BENCH_SCALE     working-set scale denominator, > 0 (default
+ *                       16, i.e. 1/16 of the paper's footprints)
+ * They are checked like the drivers' flags (src/driver/cli.hh): a
+ * malformed or out-of-range value prints a diagnostic naming the
+ * variable and exits 2 before any testbed is built.
  *
  * Every binary also accepts `--json[=PATH]`: emit the printed tables
  * as a machine-readable JSON document (default BENCH_<name>.json)
@@ -42,8 +46,11 @@ namespace bench
 /** Outcome of one simulated cell (see driver::CellOutcome). */
 using Outcome = driver::CellOutcome;
 
+/** The evaluation environments (see driver::CampaignEnv). */
+using Env = driver::CampaignEnv;
+
 /** Simulation sizing from the environment. */
-SimConfig simConfigFromEnv(bool record_steps = false);
+SimConfig simConfigFromEnv();
 
 /** Working-set scale from the environment. */
 double scaleFromEnv();
@@ -56,17 +63,12 @@ double scaleFromEnv();
  */
 TestbedConfig testbedConfig(bool thp);
 
-/** Run one native cell. */
-Outcome runNative(Workload &workload, Design design, bool thp,
-                  std::uint64_t seed = 42);
-
-/** Run one single-level virtualization cell. */
-Outcome runVirt(Workload &workload, Design design, bool thp,
-                std::uint64_t seed = 42, bool record_steps = false);
-
-/** Run one nested-virtualization cell. */
-Outcome runNested(Workload &workload, Design design, bool thp,
-                  std::uint64_t seed = 42);
+/**
+ * Run one cell of `env` through driver::runCell, sized from the
+ * environment knobs.
+ */
+Outcome runIn(Env env, Workload &workload, Design design, bool thp,
+              std::uint64_t seed = 42, bool record_steps = false);
 
 /** Pretty-print a table: header + rows of fixed-width columns. */
 class Table

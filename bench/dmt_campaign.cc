@@ -106,7 +106,7 @@ parse(int argc, char **argv)
         } else if (arg == "--thp") opt.campaign.includeThp = true;
         else if (arg == "--scale")
             opt.campaign.scale =
-                parseScaleFlag(argv[0], value(), usage);
+                parseScaleFlag(argv[0], arg, value(), usage);
         else if (arg == "--accesses")
             opt.campaign.sim.measureAccesses = parseUintFlag(
                 argv[0], arg, value(), 1, kMaxFlagAccesses, usage);

@@ -26,6 +26,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/log.hh"
@@ -88,6 +89,8 @@ parse(int argc, char **argv)
     // Benchmark-scale defaults; tests use the struct defaults.
     opt.sweep.sim.warmupAccesses = 2'000;
     opt.sweep.sim.measureAccesses = 20'000;
+    std::string env = driver::envId(opt.sweep.env);
+    std::string design = driver::designId(opt.sweep.design);
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto value = [&]() -> std::string {
@@ -112,10 +115,8 @@ parse(int argc, char **argv)
                 argv[0], arg, value(), 1, kMaxCores, usage));
         else if (arg == "--workloads")
             opt.sweep.workloads = splitList(value());
-        else if (arg == "--env")
-            opt.sweep.env = driver::parseEnv(value());
-        else if (arg == "--design")
-            opt.sweep.design = driver::parseDesign(value());
+        else if (arg == "--env") env = value();
+        else if (arg == "--design") design = value();
         else if (arg == "--thp") opt.sweep.thp = true;
         else if (arg == "--slice")
             opt.sweep.sliceAccesses = driver::parseUintFlag(
@@ -137,7 +138,7 @@ parse(int argc, char **argv)
                     DmtRegisterFile::capacity, usage));
         else if (arg == "--scale")
             opt.sweep.scale =
-                driver::parseScaleFlag(argv[0], value(), usage);
+                driver::parseScaleFlag(argv[0], arg, value(), usage);
         else if (arg == "--accesses")
             opt.sweep.sim.measureAccesses = driver::parseUintFlag(
                 argv[0], arg, value(), 1, driver::kMaxFlagAccesses,
@@ -154,6 +155,8 @@ parse(int argc, char **argv)
         else if (arg == "--quiet") opt.quiet = true;
         else usage(argv[0]);
     }
+    std::tie(opt.sweep.env, opt.sweep.design) =
+        driver::parseCellFlags(argv[0], env, design, usage);
     if (opt.threads == 0)
         opt.threads = 1;  // hardware_concurrency() may report 0
     if (opt.sweep.tenantsPerCore.empty())

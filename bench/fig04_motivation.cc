@@ -41,10 +41,10 @@ main(int argc, char **argv)
         auto wl = makeWorkload(name, scale);
         const Calibration &cal = wl->calibration();
 
-        const Outcome native = runNative(*wl, Design::Vanilla, false);
-        const Outcome virt = runVirt(*wl, Design::Vanilla, false);
-        const Outcome spt = runVirt(*wl, Design::Shadow, false);
-        const Outcome nested = runNested(*wl, Design::Vanilla, false);
+        const Outcome native = runIn(Env::Native, *wl, Design::Vanilla, false);
+        const Outcome virt = runIn(Env::Virt, *wl, Design::Vanilla, false);
+        const Outcome spt = runIn(Env::Virt, *wl, Design::Shadow, false);
+        const Outcome nested = runIn(Env::Nested, *wl, Design::Vanilla, false);
 
         const double natTotal = 1.0;
         const double natWalk =

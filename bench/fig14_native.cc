@@ -37,13 +37,13 @@ runMode(bool thp, JsonReport &json)
         auto wl = makeWorkload(name, scale);
         const Calibration &cal = wl->calibration();
         const Outcome vanilla =
-            runNative(*wl, Design::Vanilla, thp);
+            runIn(Env::Native, *wl, Design::Vanilla, thp);
         const double oVanilla = vanilla.sim.overheadPerAccess();
 
         std::vector<std::string> walkRow{name}, appRow{name};
         for (Design d : designs) {
             auto wl2 = makeWorkload(name, scale);
-            const Outcome out = runNative(*wl2, d, thp);
+            const Outcome out = runIn(Env::Native, *wl2, d, thp);
             const double oTarget = out.sim.overheadPerAccess();
             const double walkSpeedup =
                 oTarget > 0.0 && oVanilla > 0.0 ? oVanilla / oTarget

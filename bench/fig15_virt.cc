@@ -36,13 +36,13 @@ runMode(bool thp, JsonReport &json)
     for (const auto &name : paperWorkloadNames()) {
         auto wl = makeWorkload(name, scale);
         const Calibration &cal = wl->calibration();
-        const Outcome vanilla = runVirt(*wl, Design::Vanilla, thp);
+        const Outcome vanilla = runIn(Env::Virt, *wl, Design::Vanilla, thp);
         const double oVanilla = vanilla.sim.overheadPerAccess();
 
         std::vector<std::string> walkRow{name}, appRow{name};
         for (Design d : designs) {
             auto wl2 = makeWorkload(name, scale);
-            const Outcome out = runVirt(*wl2, d, thp);
+            const Outcome out = runIn(Env::Virt, *wl2, d, thp);
             const double oTarget = out.sim.overheadPerAccess();
             const double walkSpeedup =
                 oTarget > 0.0 && oVanilla > 0.0 ? oVanilla / oTarget

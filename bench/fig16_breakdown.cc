@@ -68,13 +68,13 @@ runMode(bool thp, JsonReport &json)
     {
         auto wl = makeWorkload("Redis", scale);
         const Outcome base =
-            runVirt(*wl, Design::Vanilla, thp, 42, true);
+            runIn(Env::Virt, *wl, Design::Vanilla, thp, 42, true);
         printBreakdown("Vanilla KVM nested walk", base.sim,
                        "fig16_vanilla_" + suffix, json);
     }
     {
         auto wl = makeWorkload("Redis", scale);
-        const Outcome pv = runVirt(*wl, Design::PvDmt, thp, 42, true);
+        const Outcome pv = runIn(Env::Virt, *wl, Design::PvDmt, thp, 42, true);
         printBreakdown("pvDMT (fetches only the two leaf PTEs)",
                        pv.sim, "fig16_pvdmt_" + suffix, json);
     }

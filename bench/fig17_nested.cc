@@ -33,9 +33,9 @@ runMode(bool thp, JsonReport &json)
     for (const auto &name : paperWorkloadNames()) {
         auto wl = makeWorkload(name, scale);
         const Calibration &cal = wl->calibration();
-        const Outcome base = runNested(*wl, Design::Vanilla, thp);
+        const Outcome base = runIn(Env::Nested, *wl, Design::Vanilla, thp);
         auto wl2 = makeWorkload(name, scale);
-        const Outcome pv = runNested(*wl2, Design::PvDmt, thp);
+        const Outcome pv = runIn(Env::Nested, *wl2, Design::PvDmt, thp);
 
         const double oBase = base.sim.overheadPerAccess();
         const double oPv = pv.sim.overheadPerAccess();

@@ -2,7 +2,7 @@
  * @file
  * dmt-microbench — wall-clock throughput of every hot-path subsystem.
  *
- *   dmt-microbench [--json[=PATH]] [--ops N] [--reps N] [--quiet]
+ *   dmt-microbench [--json[=PATH]] [--ops N>=20] [--reps N] [--quiet]
  *
  * Reports accesses/sec for the layers the simulator's inner loop is
  * built from, bottom-up: raw PhysicalMemory words, a single TLB, the
@@ -38,6 +38,8 @@
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
+#include "driver/cell.hh"
+#include "driver/cli.hh"
 #include "driver/json.hh"
 #include "mem/memory_hierarchy.hh"
 #include "mem/physical_memory.hh"
@@ -77,6 +79,9 @@ struct BenchResult
     }
 };
 
+/** Upper bound of --reps. */
+constexpr std::uint64_t kMaxReps = 1000;
+
 [[noreturn]] void
 usage(const char *argv0)
 {
@@ -92,29 +97,30 @@ parse(int argc, char **argv)
     Options opt;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        auto value = [&]() -> std::string {
+            if (i + 1 >= argc)
+                usage(argv[0]);
+            return argv[++i];
+        };
         if (arg == "--json") {
             opt.json = true;
         } else if (arg.rfind("--json=", 0) == 0) {
             opt.json = true;
             opt.jsonPath = arg.substr(7);
         } else if (arg == "--ops") {
-            if (i + 1 >= argc)
-                usage(argv[0]);
-            opt.ops = std::strtoull(argv[++i], nullptr, 10);
+            // The walk and e2e rows run ops/20: at least one op each.
+            opt.ops = driver::parseUintFlag(argv[0], arg, value(), 20,
+                                            driver::kMaxFlagAccesses,
+                                            usage);
         } else if (arg == "--reps") {
-            if (i + 1 >= argc)
-                usage(argv[0]);
-            opt.reps = std::atoi(argv[++i]);
+            opt.reps = static_cast<int>(driver::parseUintFlag(
+                argv[0], arg, value(), 1, kMaxReps, usage));
         } else if (arg == "--quiet") {
             opt.quiet = true;
         } else {
             usage(argv[0]);
         }
     }
-    if (opt.ops == 0)
-        opt.ops = 1;
-    if (opt.reps < 1)
-        opt.reps = 1;
     return opt;
 }
 
@@ -243,12 +249,11 @@ constexpr std::uint64_t kSeed = 42;
 
 /** Pre-generate trace VAs so the generator is outside the timing. */
 std::vector<Addr>
-traceAddrs(const Workload &workload, std::size_t count)
+traceAddrs(TraceSource &trace, std::size_t count)
 {
-    auto trace = workload.trace(kSeed);
     std::vector<Addr> vas(count);
     for (auto &va : vas)
-        va = trace->next();
+        va = trace.next();
     return vas;
 }
 
@@ -258,13 +263,10 @@ benchWalk(const std::string &name, Design design, std::uint64_t ops,
           int reps)
 {
     auto workload = makeWorkload("GUPS", kScale);
-    NativeTestbed tb(workload->footprintBytes(),
-                     scaledTestbedConfig(kScale));
-    if (design == Design::Dmt)
-        tb.attachDmt();
-    workload->setup(tb.proc());
-    auto &mech = tb.build(design);
-    const auto vas = traceAddrs(*workload, 8192);
+    driver::Cell cell(*workload, driver::CampaignEnv::Native, design,
+                      scaledTestbedConfig(kScale), kSeed);
+    TranslationMechanism &mech = cell.mech();
+    const auto vas = traceAddrs(cell.trace(), 8192);
     return repeat(name, ops, reps, [&] {
         const auto start = Clock::now();
         std::uint64_t cycles = 0;
@@ -283,14 +285,8 @@ benchEndToEnd(const std::string &name, Design design,
               std::uint64_t accesses, int reps)
 {
     auto workload = makeWorkload("GUPS", kScale);
-    NativeTestbed tb(workload->footprintBytes(),
-                     scaledTestbedConfig(kScale));
-    if (design == Design::Dmt)
-        tb.attachDmt();
-    workload->setup(tb.proc());
-    auto &mech = tb.build(design);
-    auto trace = workload->trace(kSeed);
-    TranslationSimulator sim(mech, tb.tlbs(), tb.caches());
+    driver::Cell cell(*workload, driver::CampaignEnv::Native, design,
+                      scaledTestbedConfig(kScale), kSeed);
     SimConfig config;
     config.warmupAccesses = accesses / 5;
     config.measureAccesses = accesses;
@@ -298,7 +294,8 @@ benchEndToEnd(const std::string &name, Design design,
                   config.warmupAccesses + config.measureAccesses,
                   reps, [&] {
                       const auto start = Clock::now();
-                      const SimResult res = sim.run(*trace, config);
+                      const SimResult res =
+                          cell.sim().run(cell.trace(), config);
                       const std::chrono::duration<double> dt =
                           Clock::now() - start;
                       sink(res.accesses);

@@ -172,8 +172,6 @@ printSummary()
                                 teaPages) *
             pageSize / (1024.0 * 1024.0);
 
-        const Outcome out = runNative(*wl2, Design::Dmt, false);
-        (void)out;
         mem.addRow(
             {name, Table::num(vanillaMb), Table::num(dmtMb),
              Table::num((dmtMb / vanillaMb - 1.0) * 100.0, 1) + "%",
@@ -187,7 +185,7 @@ printSummary()
     Table cov({"Workload", "Coverage", "Fallbacks/walks"});
     for (const auto &name : paperWorkloadNames()) {
         auto wl = makeWorkload(name, scale);
-        const Outcome out = runVirt(*wl, Design::PvDmt, false);
+        const Outcome out = runIn(Env::Virt, *wl, Design::PvDmt, false);
         cov.addRow({name, Table::num(out.coverage * 100.0, 2) + "%",
                     Table::num(
                         out.sim.walks

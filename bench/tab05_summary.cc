@@ -59,19 +59,16 @@ main(int argc, char **argv)
                                           Design::Asap};
             const Design mine =
                 virtualized ? Design::PvDmt : Design::Dmt;
+            const Env cellEnv = virtualized ? Env::Virt : Env::Native;
             for (const auto &name : paperWorkloadNames()) {
                 for (Design d : others) {
                     auto wl = makeWorkload(name, scale);
-                    o[d][name] =
-                        (virtualized ? runVirt(*wl, d, thp)
-                                     : runNative(*wl, d, thp))
-                            .sim.overheadPerAccess();
+                    o[d][name] = runIn(cellEnv, *wl, d, thp)
+                                     .sim.overheadPerAccess();
                 }
                 auto wl = makeWorkload(name, scale);
                 o[mine][name] =
-                    (virtualized ? runVirt(*wl, mine, thp)
-                                 : runNative(*wl, mine, thp))
-                        .sim.overheadPerAccess();
+                    runIn(cellEnv, *wl, mine, thp).sim.overheadPerAccess();
             }
             const std::string env =
                 std::string(virtualized ? "Virtualized" : "Native") +

@@ -70,12 +70,12 @@ main(int argc, char **argv)
         if (row.native) {
             auto w = makeWorkload("GUPS", scaleFromEnv());
             nat = Table::num(
-                maxRefs(runNative(*w, row.design, false).sim), 2);
+                maxRefs(runIn(Env::Native, *w, row.design, false).sim), 2);
         }
         if (row.virt) {
             auto w = makeWorkload("GUPS", scaleFromEnv());
             virt = Table::num(
-                maxRefs(runVirt(*w, row.design, false).sim), 2);
+                maxRefs(runIn(Env::Virt, *w, row.design, false).sim), 2);
         }
         observed.addRow({designName(row.design, true), nat, virt});
     }
@@ -83,9 +83,9 @@ main(int argc, char **argv)
     json.addTable("tab06_observed_gups", observed);
     {
         auto w = makeWorkload("GUPS", scaleFromEnv());
-        const auto base = runNested(*w, Design::Vanilla, false);
+        const auto base = runIn(Env::Nested, *w, Design::Vanilla, false);
         auto w2 = makeWorkload("GUPS", scaleFromEnv());
-        const auto pv = runNested(*w2, Design::PvDmt, false);
+        const auto pv = runIn(Env::Nested, *w2, Design::PvDmt, false);
         std::printf("\nNested virtualization: baseline (2-D over "
                     "sPT) %.2f refs/walk; pvDMT %.2f refs/walk.\n",
                     base.sim.meanSeqRefs(), pv.sim.meanSeqRefs());

@@ -8,9 +8,10 @@
  *          [--seed N] [--audit[=N]] [--json FILE]
  *          [--record-trace FILE | --trace FILE]
  *
- * --json writes the cell's results in the same schema as one entry
- * of dmt-campaign's BENCH_campaign.json (see that tool for grid
- * sweeps).
+ * --json writes the cell as one object in exactly the schema of one
+ * entry of dmt-campaign's BENCH_campaign.json "cells" array (see that
+ * tool for grid sweeps). A design not modelled in the environment
+ * is a usage error (exit 2).
  *
  * Examples:
  *   dmtsim --workload Redis --design pvdmt --env virt
@@ -23,19 +24,17 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
+#include <tuple>
 
 #include "driver/campaign.hh"
+#include "driver/cell.hh"
 #include "driver/cli.hh"
 #include "driver/json.hh"
 
 #include "check/invariant_auditor.hh"
 #include "common/log.hh"
-#include "obs/event_log.hh"
-#include "obs/replay.hh"
-#include "sim/exec_model.hh"
-#include "sim/testbed.hh"
-#include "sim/translation_sim.hh"
 #include "workloads/trace_file.hh"
 #include "workloads/workloads.hh"
 
@@ -47,8 +46,8 @@ namespace
 struct Options
 {
     std::string workload = "GUPS";
-    std::string design = "vanilla";
-    std::string env = "native";
+    driver::CampaignEnv env = driver::CampaignEnv::Native;
+    Design design = Design::Vanilla;
     bool thp = false;
     double scale = 1.0 / 16.0;
     std::uint64_t accesses = 1'000'000;
@@ -82,6 +81,8 @@ Options
 parse(int argc, char **argv)
 {
     Options opt;
+    std::string env = "native";
+    std::string design = "vanilla";
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto value = [&]() -> std::string {
@@ -90,11 +91,12 @@ parse(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--workload") opt.workload = value();
-        else if (arg == "--design") opt.design = value();
-        else if (arg == "--env") opt.env = value();
+        else if (arg == "--design") design = value();
+        else if (arg == "--env") env = value();
         else if (arg == "--thp") opt.thp = true;
         else if (arg == "--scale")
-            opt.scale = driver::parseScaleFlag(argv[0], value(), usage);
+            opt.scale =
+                driver::parseScaleFlag(argv[0], arg, value(), usage);
         else if (arg == "--accesses")
             opt.accesses = driver::parseUintFlag(
                 argv[0], arg, value(), 1, driver::kMaxFlagAccesses,
@@ -121,6 +123,8 @@ parse(int argc, char **argv)
         }
         else usage(argv[0]);
     }
+    std::tie(opt.env, opt.design) =
+        driver::parseCellFlags(argv[0], env, design, usage);
     return opt;
 }
 
@@ -161,15 +165,14 @@ main(int argc, char **argv)
 {
     const Options opt = parse(argc, argv);
     auto wl = makeWorkload(opt.workload, opt.scale);
-    const Design design = driver::parseDesign(opt.design);
 
     if (!opt.recordTrace.empty()) {
-        // Record mode: lay out the workload, dump its trace, done.
-        NativeTestbed tb(wl->footprintBytes(),
-                         scaledTestbedConfig(opt.scale));
-        wl->setup(tb.proc());
-        auto trace = wl->trace(opt.seed);
-        recordTrace(*trace, opt.warmup + opt.accesses,
+        // Record mode: lay out the workload natively, dump its trace,
+        // done.
+        driver::Cell cell(*wl, driver::CampaignEnv::Native,
+                          Design::Vanilla, scaledTestbedConfig(opt.scale),
+                          opt.seed);
+        recordTrace(cell.trace(), opt.warmup + opt.accesses,
                     opt.recordTrace);
         std::printf("recorded %llu accesses of %s to %s\n",
                     static_cast<unsigned long long>(opt.warmup +
@@ -184,21 +187,15 @@ main(int argc, char **argv)
     simCfg.warmupAccesses = opt.warmup;
     simCfg.measureAccesses = opt.accesses;
 
-    auto makeTrace = [&]() -> std::unique_ptr<TraceSource> {
-        if (!opt.traceFile.empty())
-            return std::make_unique<FileTrace>(opt.traceFile);
-        return wl->trace(opt.seed);
-    };
-
     std::printf("%s / %s / %s%s, working set %.2f GB (1/%.0f of the "
                 "paper)\n",
-                opt.workload.c_str(), opt.design.c_str(),
-                opt.env.c_str(), opt.thp ? " +THP" : "",
+                opt.workload.c_str(), driver::designId(opt.design).c_str(),
+                driver::envId(opt.env).c_str(), opt.thp ? " +THP" : "",
                 static_cast<double>(wl->footprintBytes()) /
                     (1ull << 30),
                 1.0 / opt.scale);
 
-    // Declared before the testbeds: subsystems unregister their audit
+    // Declared before the cell: subsystems unregister their audit
     // hooks on destruction, so the auditor must outlive them.
     InvariantAuditor auditor;
     if (opt.audit && opt.auditInterval) {
@@ -210,109 +207,42 @@ main(int argc, char **argv)
 #endif
         auditor.setInterval(opt.auditInterval);
     }
+    driver::Cell cell(*wl, opt.env, opt.design, cfg, opt.seed,
+                      opt.traceFile.empty()
+                          ? nullptr
+                          : std::make_unique<FileTrace>(opt.traceFile));
     // Interval sweeps are meaningful only once the machine is in a
-    // steady state: enable after setup via this helper.
-    auto runAudited = [&](auto &tb, TranslationMechanism &mech,
-                          std::unique_ptr<TraceSource> trace) {
-        if (opt.audit)
-            tb.attachAuditor(auditor);
-        TranslationSimulator sim(mech, tb.tlbs(), tb.caches());
-        SimResult r;
-        if (opt.eventsOut.empty()) {
-            r = sim.run(*trace, simCfg);
-        } else {
-            // Capture every access to a .dmtevents file, embedding
-            // the run's translation counters (diffed around the run
-            // so pre-run state can't skew them) in the footer — the
-            // file verifies itself via tools/events_check.
-            obs::FileEventSink sink(opt.eventsOut);
-            StatGroup before("before");
-            tb.translationStats(before);
-            sim.setEventSink(&sink);
-            r = sim.run(*trace, simCfg);
-            sim.setEventSink(nullptr);
-            StatGroup after("after");
-            tb.translationStats(after);
-            obs::CounterMap counters = obs::diffCounters(
-                obs::counterMapFromStats(before),
-                obs::counterMapFromStats(after));
-            obs::addSimResultCounters(counters, r);
-            sink.setCounters(counters);
-            sink.finish();
-            std::printf("wrote %llu events to %s\n",
-                        static_cast<unsigned long long>(
-                            sink.eventCount()),
-                        opt.eventsOut.c_str());
-        }
-        if (opt.audit) {
-            auditor.sweep();
-            // Teardown transients (freed VMAs, stale TLB entries)
-            // are not violations; stop sweeping before destructors.
-            auditor.setInterval(0);
-        }
-        return r;
-    };
-
-    SimResult res;
-    double coverage = -1.0;
-    if (opt.env == "native") {
-        NativeTestbed tb(wl->footprintBytes(), cfg);
-        if (design == Design::Dmt)
-            tb.attachDmt();
-        wl->setup(tb.proc());
-        auto &mech = tb.build(design);
-        res = runAudited(tb, mech, makeTrace());
-        if (tb.dmtFetcher())
-            coverage = tb.dmtFetcher()->stats().coverage();
-    } else if (opt.env == "virt") {
-        VirtTestbed tb(wl->footprintBytes(), cfg);
-        if (design == Design::Dmt || design == Design::PvDmt)
-            tb.attachDmt(design == Design::PvDmt);
-        wl->setup(tb.proc());
-        auto &mech = tb.build(design);
-        res = runAudited(tb, mech, makeTrace());
-        if (tb.dmtFetcher())
-            coverage = tb.dmtFetcher()->stats().coverage();
-    } else if (opt.env == "nested") {
-        NestedTestbed tb(wl->footprintBytes(), cfg);
-        if (design == Design::PvDmt)
-            tb.attachPvDmt();
-        wl->setup(tb.proc());
-        auto &mech = tb.build(design);
-        res = runAudited(tb, mech, makeTrace());
-        if (tb.dmtFetcher())
-            coverage = tb.dmtFetcher()->stats().coverage();
-    } else {
-        usage(argv[0]);
+    // steady state: attach after setup and build.
+    if (opt.audit)
+        cell.attachAuditor(auditor);
+    if (!opt.eventsOut.empty())
+        cell.beginEvents(opt.eventsOut);
+    driver::CellResult res{
+        {opt.workload, opt.env, opt.design, opt.thp}, opt.seed, {}};
+    res.outcome.sim = cell.sim().run(cell.trace(), simCfg);
+    const std::uint64_t events = cell.finishEvents(res.outcome.sim);
+    if (!opt.eventsOut.empty())
+        std::printf("wrote %llu events to %s\n",
+                    static_cast<unsigned long long>(events),
+                    opt.eventsOut.c_str());
+    if (opt.audit) {
+        auditor.sweep();
+        // Teardown transients (freed VMAs, stale TLB entries) are
+        // not violations; stop sweeping before destructors.
+        auditor.setInterval(0);
     }
-    report(res, coverage);
+    cell.readout(res.outcome);
+
+    const bool dmt =
+        opt.design == Design::Dmt || opt.design == Design::PvDmt;
+    report(res.outcome.sim, dmt ? res.outcome.coverage : -1.0);
     if (!opt.jsonOut.empty()) {
         std::ofstream os(opt.jsonOut, std::ios::binary);
         if (!os)
             fatal("cannot open '%s' for writing",
                   opt.jsonOut.c_str());
         JsonWriter json(os);
-        json.beginObject();
-        json.field("schema", "dmtsim-cell-v1");
-        json.field("env", opt.env);
-        json.field("workload", opt.workload);
-        json.field("design", opt.design);
-        json.field("thp", opt.thp);
-        json.field("seed", opt.seed);
-        json.field("accesses", res.accesses);
-        json.field("l1_tlb_hits", res.l1TlbHits);
-        json.field("stlb_hits", res.l2TlbHits);
-        json.field("walks", res.walks);
-        json.field("walk_cycles", res.walkCycles);
-        json.field("mean_walk_latency", res.meanWalkLatency());
-        json.field("overhead_per_access", res.overheadPerAccess());
-        json.field("seq_refs", res.seqRefs);
-        json.field("parallel_refs", res.parallelRefs);
-        json.field("mean_seq_refs", res.meanSeqRefs());
-        json.field("fallbacks", res.fallbacks);
-        if (coverage >= 0.0)
-            json.field("coverage", coverage);
-        json.endObject();
+        driver::emitCellJson(json, res);
         std::printf("wrote %s\n", opt.jsonOut.c_str());
     }
     if (opt.audit) {

@@ -10,8 +10,6 @@
 #include "common/log.hh"
 #include "common/stats.hh"
 #include "driver/json.hh"
-#include "obs/event_log.hh"
-#include "obs/replay.hh"
 
 namespace dmt
 {
@@ -110,6 +108,8 @@ splitmix64(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
+} // namespace
+
 bool
 designValidIn(CampaignEnv env, Design design)
 {
@@ -117,8 +117,6 @@ designValidIn(CampaignEnv env, Design design)
     return std::find(valid.begin(), valid.end(), design) !=
            valid.end();
 }
-
-} // namespace
 
 std::uint64_t
 mixSeed(std::uint64_t seed, const std::string &salt)
@@ -148,83 +146,13 @@ runCell(Workload &workload, CampaignEnv env, Design design,
     SimConfig cfg = sim_config;
     cfg.recordSteps = record_steps;
     CellOutcome out;
-    // Run the simulation, optionally capturing events. The footer
-    // counters are the run's own deltas (stats after minus before),
-    // so anything a testbed did before the run cannot skew the
-    // self-verification contract.
-    auto runSim = [&](auto &tb, TranslationMechanism &mech,
-                      TraceSource &trace) -> SimResult {
-        TranslationSimulator sim(mech, tb.tlbs(), tb.caches());
-        if (events_path.empty())
-            return sim.run(trace, cfg);
-        obs::FileEventSink sink(events_path);
-        StatGroup before("before");
-        tb.translationStats(before);
-        sim.setEventSink(&sink);
-        const SimResult res = sim.run(trace, cfg);
-        sim.setEventSink(nullptr);
-        StatGroup after("after");
-        tb.translationStats(after);
-        obs::CounterMap counters = obs::diffCounters(
-            obs::counterMapFromStats(before),
-            obs::counterMapFromStats(after));
-        obs::addSimResultCounters(counters, res);
-        sink.setCounters(counters);
-        sink.finish();
-        return res;
-    };
-    switch (env) {
-      case CampaignEnv::Native: {
-        NativeTestbed tb(workload.footprintBytes(), tb_config);
-        if (design == Design::Dmt || design == Design::PvDmt)
-            tb.attachDmt();
-        workload.setup(tb.proc());
-        auto &mech = tb.build(design);
-        auto trace = workload.trace(seed);
-        out.sim = runSim(tb, mech, *trace);
-        out.design = mech.name();
-        if (tb.dmtFetcher())
-            out.coverage = tb.dmtFetcher()->stats().coverage();
-        break;
-      }
-      case CampaignEnv::Virt: {
-        VirtTestbed tb(workload.footprintBytes(), tb_config);
-        if (design == Design::Dmt || design == Design::PvDmt)
-            tb.attachDmt(design == Design::PvDmt);
-        workload.setup(tb.proc());
-        auto &mech = tb.build(design);
-        auto trace = workload.trace(seed);
-        out.sim = runSim(tb, mech, *trace);
-        out.design = mech.name();
-        if (tb.dmtFetcher())
-            out.coverage = tb.dmtFetcher()->stats().coverage();
-        if (tb.shadowPager())
-            out.shadowExits = tb.shadowPager()->exits();
-        if (tb.hypercall()) {
-            out.hypercalls = tb.hypercall()->hypercalls();
-            out.hypercallCycles = tb.hypercall()->simulatedCost();
-        }
-        break;
-      }
-      case CampaignEnv::Nested: {
-        NestedTestbed tb(workload.footprintBytes(), tb_config);
-        if (design == Design::PvDmt)
-            tb.attachPvDmt();
-        workload.setup(tb.proc());
-        auto &mech = tb.build(design);
-        auto trace = workload.trace(seed);
-        out.sim = runSim(tb, mech, *trace);
-        out.design = mech.name();
-        if (tb.dmtFetcher())
-            out.coverage = tb.dmtFetcher()->stats().coverage();
-        if (tb.shadowPager())
-            out.shadowExits = tb.shadowPager()->exits();
-        if (tb.l2Hypercall()) {
-            out.hypercalls = tb.l2Hypercall()->hypercalls();
-            out.hypercallCycles = tb.l2Hypercall()->simulatedCost();
-        }
-        break;
-      }
+    {
+        Cell cell(workload, env, design, tb_config, seed);
+        if (!events_path.empty())
+            cell.beginEvents(events_path);
+        out.sim = cell.sim().run(cell.trace(), cfg);
+        cell.finishEvents(out.sim);
+        cell.readout(out);
     }
     const std::chrono::duration<double> elapsed =
         // dmtlint: allow(wall-clock) -- timing sidecar, see above
@@ -368,6 +296,38 @@ emitConfig(JsonWriter &json, const CampaignConfig &config)
 } // namespace
 
 void
+emitCellJson(JsonWriter &json, const CellResult &res)
+{
+    const SimResult &sim = res.outcome.sim;
+    json.beginObject();
+    json.field("env", envId(res.spec.env));
+    json.field("workload", res.spec.workload);
+    json.field("design", designId(res.spec.design));
+    json.field("mechanism", res.outcome.design);
+    json.field("thp", res.spec.thp);
+    json.field("seed", res.seed);
+    json.field("accesses", sim.accesses);
+    json.field("l1_tlb_hits", sim.l1TlbHits);
+    json.field("stlb_hits", sim.l2TlbHits);
+    json.field("l1_tlb_hit_ratio", hitRatio(sim.l1TlbHits, sim.accesses));
+    json.field("stlb_hit_ratio", hitRatio(sim.l2TlbHits, sim.accesses));
+    json.field("walks", sim.walks);
+    json.field("mpki", mpki(sim));
+    json.field("walk_cycles", sim.walkCycles);
+    json.field("mean_walk_latency", sim.meanWalkLatency());
+    json.field("overhead_per_access", sim.overheadPerAccess());
+    json.field("seq_refs", sim.seqRefs);
+    json.field("parallel_refs", sim.parallelRefs);
+    json.field("mean_seq_refs", sim.meanSeqRefs());
+    json.field("fallbacks", sim.fallbacks);
+    json.field("coverage", res.outcome.coverage);
+    json.field("shadow_exits", res.outcome.shadowExits);
+    json.field("hypercalls", res.outcome.hypercalls);
+    json.field("hypercall_cycles", res.outcome.hypercallCycles);
+    json.endObject();
+}
+
+void
 emitCampaignJson(std::ostream &os, const CampaignConfig &config,
                  const std::vector<CellResult> &results)
 {
@@ -378,37 +338,8 @@ emitCampaignJson(std::ostream &os, const CampaignConfig &config,
 
     json.key("cells");
     json.beginArray();
-    for (const CellResult &res : results) {
-        const SimResult &sim = res.outcome.sim;
-        json.beginObject();
-        json.field("env", envId(res.spec.env));
-        json.field("workload", res.spec.workload);
-        json.field("design", designId(res.spec.design));
-        json.field("mechanism", res.outcome.design);
-        json.field("thp", res.spec.thp);
-        json.field("seed", res.seed);
-        json.field("accesses", sim.accesses);
-        json.field("l1_tlb_hits", sim.l1TlbHits);
-        json.field("stlb_hits", sim.l2TlbHits);
-        json.field("l1_tlb_hit_ratio",
-                   hitRatio(sim.l1TlbHits, sim.accesses));
-        json.field("stlb_hit_ratio",
-                   hitRatio(sim.l2TlbHits, sim.accesses));
-        json.field("walks", sim.walks);
-        json.field("mpki", mpki(sim));
-        json.field("walk_cycles", sim.walkCycles);
-        json.field("mean_walk_latency", sim.meanWalkLatency());
-        json.field("overhead_per_access", sim.overheadPerAccess());
-        json.field("seq_refs", sim.seqRefs);
-        json.field("parallel_refs", sim.parallelRefs);
-        json.field("mean_seq_refs", sim.meanSeqRefs());
-        json.field("fallbacks", sim.fallbacks);
-        json.field("coverage", res.outcome.coverage);
-        json.field("shadow_exits", res.outcome.shadowExits);
-        json.field("hypercalls", res.outcome.hypercalls);
-        json.field("hypercall_cycles", res.outcome.hypercallCycles);
-        json.endObject();
-    }
+    for (const CellResult &res : results)
+        emitCellJson(json, res);
     json.endArray();
 
     // Per-(env, design) aggregates across workloads, accumulated

@@ -24,12 +24,16 @@
 #include <string>
 #include <vector>
 
+#include "driver/cell.hh"
 #include "sim/testbed.hh"
 #include "sim/translation_sim.hh"
 #include "workloads/workloads.hh"
 
 namespace dmt
 {
+
+class JsonWriter;
+
 namespace driver
 {
 
@@ -56,6 +60,9 @@ CampaignEnv parseEnv(const std::string &name);
 /** The designs modelled in an environment, in canonical order. */
 std::vector<Design> validDesigns(CampaignEnv env);
 
+/** Whether `design` is one of validDesigns(env). */
+bool designValidIn(CampaignEnv env, Design design);
+
 /** One cell of the evaluation grid. */
 struct CellSpec
 {
@@ -81,23 +88,18 @@ std::uint64_t cellSeed(std::uint64_t base_seed, const CellSpec &spec);
 std::uint64_t mixSeed(std::uint64_t seed, const std::string &salt);
 
 /** Everything measured in one cell. */
-struct CellOutcome
+struct CellOutcome : CellReadout
 {
     SimResult sim;
-    double coverage = 1.0;    //!< DMT register coverage (if any)
-    Counter shadowExits = 0;  //!< shadow pager sync count (if any)
-    Counter hypercalls = 0;
-    Cycles hypercallCycles = 0;
-    std::string design;       //!< mechanism display name
     /** Self-measured, non-deterministic; excluded from the report. */
     double wallSeconds = 0.0;
     double accessesPerSec = 0.0;
 };
 
 /**
- * Run one cell against an already-constructed workload. Builds a
- * fresh testbed for the cell's environment, lays out the workload,
- * and streams its trace through the translation simulator.
+ * Run one cell against an already-constructed workload: build its
+ * Cell (a fresh testbed for the environment, the workload laid out,
+ * the design built) and stream the trace through the simulator.
  *
  * If `events_path` is non-empty, a FileEventSink captures every
  * simulated access to that .dmtevents file, with the cell's
@@ -179,6 +181,12 @@ extern const char *const campaignSchema;
  */
 void emitCampaignJson(std::ostream &os, const CampaignConfig &config,
                       const std::vector<CellResult> &results);
+
+/**
+ * Write one cell as a JSON object: the entry emitCampaignJson writes
+ * per cell, and the whole of `dmtsim --json`.
+ */
+void emitCellJson(JsonWriter &json, const CellResult &res);
 
 /**
  * Write the self-measured timing sidecar (wall seconds and simulated

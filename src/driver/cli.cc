@@ -49,8 +49,8 @@ parseUintFlag(const char *argv0, const std::string &flag,
 }
 
 double
-parseScaleFlag(const char *argv0, const std::string &token,
-               UsageFn usage)
+parseScaleFlag(const char *argv0, const std::string &flag,
+               const std::string &token, UsageFn usage)
 {
     double denominator = 0.0;
     const char *end = token.data() + token.size();
@@ -59,9 +59,33 @@ parseScaleFlag(const char *argv0, const std::string &token,
     if (token.empty() || ec != std::errc() || ptr != end ||
         !(denominator > 0.0) || !std::isfinite(denominator))
         reject(argv0, usage,
-               "--scale must be a positive number, got '" + token +
+               flag + " must be a positive number, got '" + token +
                    "'");
     return 1.0 / denominator;
+}
+
+std::pair<CampaignEnv, Design>
+parseCellFlags(const char *argv0, const std::string &env,
+               const std::string &design, UsageFn usage)
+{
+    for (const CampaignEnv e : {CampaignEnv::Native, CampaignEnv::Virt,
+                                CampaignEnv::Nested}) {
+        if (envId(e) != env)
+            continue;
+        std::string valid;
+        for (const Design d : validDesigns(e)) {
+            if (designId(d) == design)
+                return {e, d};
+            if (!valid.empty())
+                valid += '|';
+            valid += designId(d);
+        }
+        reject(argv0, usage,
+               "--design '" + design + "' is not modelled in --env " +
+                   env + " (expected " + valid + ")");
+    }
+    reject(argv0, usage,
+           "--env expects native|virt|nested, got '" + env + "'");
 }
 
 } // namespace driver

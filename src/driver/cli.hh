@@ -1,10 +1,11 @@
 /**
  * @file
- * Checked numeric flag values for the command-line drivers (dmtsim,
- * dmt-campaign, dmt-node).
+ * Checked flag values for the command-line drivers (dmtsim,
+ * dmt-campaign, dmt-node, dmt-microbench) and the bench binaries'
+ * DMT_BENCH_* environment knobs.
  *
- * A flag value is accepted only if the whole token parses and lies in
- * range. Anything else — "12abc", "-5", "", "0" where at least 1 is
+ * A numeric value is accepted only if the whole token parses and lies
+ * in range. Anything else — "12abc", "-5", "", "0" where at least 1 is
  * required — prints a diagnostic naming the flag to stderr and exits
  * 2 through the binary's usage(), so a typo never silently runs a
  * different simulation.
@@ -16,6 +17,9 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
+
+#include "driver/campaign.hh"
 
 namespace dmt
 {
@@ -45,12 +49,23 @@ std::uint64_t parseUintFlag(const char *argv0, const std::string &flag,
                             std::uint64_t hi, UsageFn usage);
 
 /**
- * Parse a --scale denominator N (a finite number > 0, e.g. 64 for
- * 1/64 of the paper's working sets) and return the scale 1/N. On
- * failure prints the diagnostic and calls `usage(argv0)`.
+ * Parse `token`, the value of the scale denominator `flag` (a finite
+ * number N > 0, e.g. 64 for 1/64 of the paper's working sets), and
+ * return the scale 1/N. On failure prints the diagnostic and calls
+ * `usage(argv0)`.
  */
-double parseScaleFlag(const char *argv0, const std::string &token,
-                      UsageFn usage);
+double parseScaleFlag(const char *argv0, const std::string &flag,
+                      const std::string &token, UsageFn usage);
+
+/**
+ * Resolve an --env / --design token pair, accepting only a design
+ * modelled in that environment (validDesigns). On failure prints the
+ * diagnostic and calls `usage(argv0)`.
+ */
+std::pair<CampaignEnv, Design> parseCellFlags(const char *argv0,
+                                              const std::string &env,
+                                              const std::string &design,
+                                              UsageFn usage);
 
 } // namespace driver
 } // namespace dmt

@@ -148,18 +148,15 @@ struct HostTenantStats
     }
 };
 
-/** Everything measured for one tenant. */
-struct HostTenantResult
+/** Everything measured for one tenant; the mechanism-side fields
+ *  (design, coverage, shadowExits, hypercalls, hypercallCycles) are
+ *  the tenant's driver::Cell readout. */
+struct HostTenantResult : driver::CellReadout
 {
     TenantSpec spec;
     std::uint64_t seed = 0;
     SimResult sim;
     HostTenantStats host;
-    double coverage = 1.0;    //!< DMT register coverage (if any)
-    Counter shadowExits = 0;
-    Counter hypercalls = 0;
-    Cycles hypercallCycles = 0;
-    std::string design;       //!< mechanism display name
     std::string eventsPath;   //!< per-tenant .dmtevents (if written)
 };
 

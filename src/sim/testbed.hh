@@ -5,13 +5,20 @@
  * A testbed owns the physical memory, allocators, caches, TLBs, the
  * process/VM stack of one environment (native / virtualized /
  * nested), and builds the TranslationMechanism for any evaluated
- * design. Use:
+ * design. The drivers (runCell, HostNode tenants, dmtsim) never
+ * touch a testbed directly: driver::Cell (src/driver/cell.hh) builds
+ * it in this order for every environment —
  *
  *   NativeTestbed tb(workload->footprintBytes(), cfg);
  *   tb.attachDmt();               // DMT designs only, BEFORE setup
+ *                                 // (VirtTestbed::attachDmt(pv),
+ *                                 //  NestedTestbed::attachPvDmt())
  *   workload->setup(tb.proc());
  *   auto &mech = tb.build(Design::Dmt);   // AFTER setup
  *   TranslationSimulator sim(mech, tb.tlbs(), tb.caches());
+ *
+ * — so use a Cell unless a bench needs a testbed the grid does not
+ * build (ablations, microbenchmarks).
  */
 
 #ifndef DMT_SIM_TESTBED_HH

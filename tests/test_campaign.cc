@@ -18,6 +18,9 @@
 #include <utility>
 #include <vector>
 
+#include <fcntl.h>
+#include <spawn.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "driver/campaign.hh"
@@ -167,10 +170,31 @@ TEST(Campaign, TimingSidecarIsSeparateFromReport)
 using CellFields = std::map<std::string, std::string>;
 
 /**
- * The cells of a dmt-campaign-v1 report, in order. The emitter
- * writes one field per line, so a line scan recovers every value's
- * exact text.
+ * Add one emitted line to `cell` if it is a `"key": value` field.
+ * The emitter writes one field per line, so a line scan recovers
+ * every value's exact text.
  */
+void
+addField(const std::string &text, CellFields &cell)
+{
+    const auto sep = text.find("\": ");
+    if (text.empty() || text[0] != '"' || sep == std::string::npos)
+        return;
+    std::string value = text.substr(sep + 3);
+    if (!value.empty() && value.back() == ',')
+        value.pop_back();
+    cell[text.substr(1, sep - 1)] = value;
+}
+
+/** `line` without its indentation. */
+std::string
+trimmed(const std::string &line)
+{
+    const auto first = line.find_first_not_of(' ');
+    return first == std::string::npos ? "" : line.substr(first);
+}
+
+/** The cells of a dmt-campaign-v1 report, in order. */
 std::vector<CellFields>
 reportCells(std::istream &in)
 {
@@ -178,29 +202,30 @@ reportCells(std::istream &in)
     bool inCells = false;
     std::string line;
     while (std::getline(in, line)) {
-        const auto first = line.find_first_not_of(' ');
-        if (first == std::string::npos)
-            continue;
-        const std::string text = line.substr(first);
+        const std::string text = trimmed(line);
         if (!inCells) {
             inCells = text == "\"cells\": [";
             continue;
         }
         if (text[0] == ']')
             break;
-        if (text[0] == '{') {
+        if (text[0] == '{')
             cells.emplace_back();
-            continue;
-        }
-        const auto sep = text.find("\": ");
-        if (text[0] != '"' || sep == std::string::npos || cells.empty())
-            continue;
-        std::string value = text.substr(sep + 3);
-        if (!value.empty() && value.back() == ',')
-            value.pop_back();
-        cells.back()[text.substr(1, sep - 1)] = value;
+        else if (!cells.empty())
+            addField(text, cells.back());
     }
     return cells;
+}
+
+/** The fields of one emitted cell object (`dmtsim --json`). */
+CellFields
+cellObject(std::istream &in)
+{
+    CellFields cell;
+    std::string line;
+    while (std::getline(in, line))
+        addField(trimmed(line), cell);
+    return cell;
 }
 
 /**
@@ -267,6 +292,86 @@ execBinary(const char *bin, std::vector<const char *> args)
     ::_exit(127);  // exec failed: not the usage exit the tests expect
 }
 
+/**
+ * Run the binary `bin` with `args` to completion, its stdout
+ * discarded. @return its exit status, or -1 if it did not exit.
+ */
+int
+runBinary(const char *bin, std::vector<const char *> args)
+{
+    args.insert(args.begin(), bin);
+    args.push_back(nullptr);
+    posix_spawn_file_actions_t actions;
+    posix_spawn_file_actions_init(&actions);
+    posix_spawn_file_actions_addopen(&actions, STDOUT_FILENO,
+                                     "/dev/null", O_WRONLY, 0);
+    pid_t pid = 0;
+    const int err =
+        ::posix_spawn(&pid, bin, &actions, nullptr,
+                      const_cast<char *const *>(args.data()), environ);
+    posix_spawn_file_actions_destroy(&actions);
+    if (err != 0)
+        return -1;
+    int status = 0;
+    if (::waitpid(pid, &status, 0) != pid || !WIFEXITED(status))
+        return -1;
+    return WEXITSTATUS(status);
+}
+
+/**
+ * dmtsim builds its cell through the same driver::Cell as the
+ * campaign, so one GUPS cell per environment (THP on for one), run at
+ * the checked-in report's config and the cell's recorded seed,
+ * reproduces that report entry field for field in `dmtsim --json`.
+ */
+TEST(CampaignReference, DmtsimReproducesCheckedInCells)
+{
+    std::ifstream ref(DMT_CAMPAIGN_REFERENCE);
+    ASSERT_TRUE(ref) << "cannot open " << DMT_CAMPAIGN_REFERENCE;
+    const auto refCells = reportCells(ref);
+
+    const std::vector<std::tuple<std::string, std::string, bool>>
+        picks = {{"native", "dmt", false},
+                 {"virt", "pvdmt", true},
+                 {"nested", "pvdmt", false}};
+    for (const auto &[env, design, thp] : picks) {
+        const std::string tag = env + "/GUPS/" + design +
+                                (thp ? "/thp" : "/4k");
+        const CellFields *want = nullptr;
+        for (const auto &c : refCells) {
+            if (c.at("env") == '"' + env + '"' &&
+                c.at("workload") == "\"GUPS\"" &&
+                c.at("design") == '"' + design + '"' &&
+                c.at("thp") == (thp ? "true" : "false"))
+                want = &c;
+        }
+        ASSERT_NE(want, nullptr) << "no reference cell for " << tag;
+
+        const std::string path = ::testing::TempDir() + "dmtsim_" +
+                                 env + "_" + design + ".json";
+        std::vector<const char *> args = {
+            "--workload", "GUPS",       "--env",
+            env.c_str(),  "--design",   design.c_str(),
+            "--scale",    "256",        "--warmup",
+            "10000",      "--accesses", "50000",
+            "--seed",     want->at("seed").c_str(),
+            "--json",     path.c_str()};
+        if (thp)
+            args.push_back("--thp");
+        ASSERT_EQ(runBinary(DMTSIM_BIN, args), 0) << tag;
+
+        std::ifstream in(path);
+        ASSERT_TRUE(in) << "cannot open " << path;
+        const CellFields got = cellObject(in);
+        EXPECT_EQ(got.size(), want->size()) << tag;
+        for (const auto &[field, value] : *want) {
+            const auto it = got.find(field);
+            ASSERT_NE(it, got.end()) << tag << ": no " << field;
+            EXPECT_EQ(it->second, value) << tag << ": " << field;
+        }
+    }
+}
+
 [[noreturn]] void
 execCampaign(std::vector<const char *> args)
 {
@@ -328,6 +433,78 @@ TEST(DriverCliDeathTest, BatchIsAnUnknownFlag)
                 ::testing::ExitedWithCode(2), "");
     EXPECT_EXIT(execBinary(DMT_NODE_BIN, {"--batch", "1"}),
                 ::testing::ExitedWithCode(2), "");
+}
+
+TEST(DriverCliDeathTest, DesignNotModelledInEnvIsAUsageError)
+{
+    // Rejected while parsing, before any testbed is built.
+    EXPECT_EXIT(execBinary(DMTSIM_BIN,
+                           {"--env", "native", "--design", "agile"}),
+                ::testing::ExitedWithCode(2),
+                "--design 'agile' is not modelled in --env native");
+    EXPECT_EXIT(execBinary(DMTSIM_BIN,
+                           {"--env", "native", "--design", "pvdmt"}),
+                ::testing::ExitedWithCode(2),
+                "--design 'pvdmt' is not modelled in --env native");
+    EXPECT_EXIT(execBinary(DMTSIM_BIN,
+                           {"--env", "nested", "--design", "dmt"}),
+                ::testing::ExitedWithCode(2),
+                "--design 'dmt' is not modelled in --env nested");
+    EXPECT_EXIT(execBinary(DMTSIM_BIN, {"--env", "cloud"}),
+                ::testing::ExitedWithCode(2),
+                "--env expects native\\|virt\\|nested, got 'cloud'");
+    EXPECT_EXIT(execBinary(DMT_NODE_BIN,
+                           {"--env", "nested", "--design", "dmt"}),
+                ::testing::ExitedWithCode(2),
+                "--design 'dmt' is not modelled in --env nested");
+}
+
+TEST(DriverCliDeathTest, MicrobenchCountsAreChecked)
+{
+    // A prefix parse would run 12 ops; the old clamps ran 1.
+    EXPECT_EXIT(execBinary(DMT_MICROBENCH_BIN, {"--ops", "12abc"}),
+                ::testing::ExitedWithCode(2),
+                "--ops expects an unsigned integer, got '12abc'");
+    EXPECT_EXIT(execBinary(DMT_MICROBENCH_BIN, {"--ops", "0"}),
+                ::testing::ExitedWithCode(2),
+                "--ops must be at least 20, got '0'");
+    EXPECT_EXIT(execBinary(DMT_MICROBENCH_BIN, {"--reps", "-5"}),
+                ::testing::ExitedWithCode(2),
+                "--reps expects an unsigned integer, got '-5'");
+    EXPECT_EXIT(execBinary(DMT_MICROBENCH_BIN, {"--reps", "0"}),
+                ::testing::ExitedWithCode(2),
+                "--reps must be at least 1, got '0'");
+    EXPECT_EXIT(execBinary(DMT_MICROBENCH_BIN,
+                           {"--ops", "20", "--reps", "1", "--quiet"}),
+                ::testing::ExitedWithCode(0), "");
+}
+
+/** Exec a figure binary with one DMT_BENCH_* knob set. */
+[[noreturn]] void
+execFigureWith(const char *knob, const char *value)
+{
+    ::setenv(knob, value, 1);
+    execBinary(FIG17_BIN, {});
+}
+
+TEST(BenchKnobDeathTest, MalformedKnobIsAUsageError)
+{
+    // Unchecked, scale 0 panicked in a nested walk and "abc" ran zero
+    // accesses into a geometric-mean panic (both exit 134).
+    EXPECT_EXIT(execFigureWith("DMT_BENCH_SCALE", "0"),
+                ::testing::ExitedWithCode(2),
+                "DMT_BENCH_SCALE must be a positive number, got '0'");
+    EXPECT_EXIT(execFigureWith("DMT_BENCH_ACCESSES", "abc"),
+                ::testing::ExitedWithCode(2),
+                "DMT_BENCH_ACCESSES expects an unsigned integer, got "
+                "'abc'");
+    EXPECT_EXIT(execFigureWith("DMT_BENCH_ACCESSES", "0"),
+                ::testing::ExitedWithCode(2),
+                "DMT_BENCH_ACCESSES must be at least 1, got '0'");
+    EXPECT_EXIT(execFigureWith("DMT_BENCH_WARMUP", "12abc"),
+                ::testing::ExitedWithCode(2),
+                "DMT_BENCH_WARMUP expects an unsigned integer, got "
+                "'12abc'");
 }
 
 TEST(DriverCliDeathTest, ValidFlagsStillRun)
