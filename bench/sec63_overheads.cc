@@ -139,11 +139,10 @@ printSummary()
                 "15.67/24.55/54.87 ms nested; bare hypercall 1.88 us "
                 "/ 10.75 us.\n");
 
-    // Page-table memory, DMT vs vanilla, plus register coverage.
-    std::printf("\nPage-table memory and register coverage (4KB "
-                "pages):\n");
+    // Page-table memory, DMT vs vanilla.
+    std::printf("\nPage-table memory (4KB pages):\n");
     Table mem({"Workload", "Vanilla PT (MB)", "DMT PT+TEA (MB)",
-               "Overhead", "Coverage"});
+               "Overhead"});
     const double scale = scaleFromEnv();
     for (const auto &name : {"Redis", "Memcached", "GUPS"}) {
         auto wl = makeWorkload(name, scale);
@@ -174,8 +173,7 @@ printSummary()
 
         mem.addRow(
             {name, Table::num(vanillaMb), Table::num(dmtMb),
-             Table::num((dmtMb / vanillaMb - 1.0) * 100.0, 1) + "%",
-             "-"});
+             Table::num((dmtMb / vanillaMb - 1.0) * 100.0, 1) + "%"});
     }
     mem.print();
     std::printf("Paper: 247.2 MB vs 241.3 MB on average (<2.5%% "

@@ -88,22 +88,29 @@ PhysicalMemory::write64(Addr pa, std::uint64_t value)
     slot = value;
 }
 
+std::size_t
+PhysicalMemory::nonzeroWithin(Addr pa, Addr bytes) const
+{
+    const std::uint32_t inFrame =
+        frameNonzero_[static_cast<std::size_t>(pa >> frameShift)];
+    if (bytes == frameBytes || inFrame == 0)
+        return inFrame;
+    const std::uint64_t *span = words_ + (pa >> 3);
+    return static_cast<std::size_t>(
+        std::count_if(span, span + (bytes >> 3),
+                      [](std::uint64_t w) { return w != 0; }));
+}
+
 void
 PhysicalMemory::zeroWithinFrame(Addr pa, Addr bytes)
 {
-    const std::size_t frame =
-        static_cast<std::size_t>(pa >> frameShift);
-    if (!frameLive_[frame] || frameNonzero_[frame] == 0)
+    const std::size_t nonzero = nonzeroWithin(pa, bytes);
+    if (nonzero == 0)
         return;
-    std::uint64_t *span = words_ + (pa >> 3);
-    const std::size_t count = static_cast<std::size_t>(bytes >> 3);
-    for (std::size_t w = 0; w < count; ++w) {
-        if (span[w] != 0) {
-            --frameNonzero_[frame];
-            --nonzeroWords_;
-        }
-    }
-    std::memset(span, 0, count * 8);
+    frameNonzero_[static_cast<std::size_t>(pa >> frameShift)] -=
+        static_cast<std::uint32_t>(nonzero);
+    nonzeroWords_ -= nonzero;
+    std::memset(words_ + (pa >> 3), 0, static_cast<std::size_t>(bytes));
 }
 
 void
@@ -155,37 +162,32 @@ PhysicalMemory::copyRange(Addr dst, Addr src, Addr bytes)
         const Addr chunk =
             std::min({bytes, frameBytes - (dst & frameMask),
                       frameBytes - (src & frameMask)});
-        const std::size_t sf =
-            static_cast<std::size_t>(src >> frameShift);
-        const std::size_t words = static_cast<std::size_t>(chunk >> 3);
-        const std::uint64_t *from = words_ + (src >> 3);
-        std::size_t srcNonzero = 0;
-        if (frameNonzero_[sf] != 0) {
-            for (std::size_t w = 0; w < words; ++w)
-                srcNonzero += (from[w] != 0) ? 1 : 0;
-        }
+        const std::size_t srcNonzero = nonzeroWithin(src, chunk);
         if (srcNonzero == 0) {
             // Source reads as zero: equivalent to zeroing dst, so the
             // destination frame materialises only for nonzero data,
             // exactly as with write64.
-            if (dst == (dst & ~frameMask) && chunk == frameBytes)
+            if (chunk == frameBytes)
                 dropFrame(dst >> frameShift);
             else
                 zeroWithinFrame(dst, chunk);
         } else {
+            // nonzeroWithin reads a destination frame only when it
+            // holds data: scanning one that is not live would fault
+            // the host zero page in, and the memcpy would then fault
+            // the page a second time.
+            const std::size_t dstNonzero = nonzeroWithin(dst, chunk);
             const std::size_t df =
                 static_cast<std::size_t>(dst >> frameShift);
             if (!frameLive_[df]) {
                 frameLive_[df] = 1;
                 ++framesInUse_;
             }
-            std::uint64_t *to = words_ + (dst >> 3);
-            std::size_t delta = srcNonzero;  // nonzero words, new minus old
-            for (std::size_t w = 0; w < words; ++w)
-                delta -= (to[w] != 0) ? 1 : 0;
-            std::memcpy(to, from, chunk);
-            frameNonzero_[df] += static_cast<std::uint32_t>(delta);
-            nonzeroWords_ += delta;
+            std::memcpy(words_ + (dst >> 3), words_ + (src >> 3),
+                        static_cast<std::size_t>(chunk));
+            frameNonzero_[df] = static_cast<std::uint32_t>(
+                frameNonzero_[df] - dstNonzero + srcNonzero);
+            nonzeroWords_ = nonzeroWords_ - dstNonzero + srcNonzero;
         }
         dst += chunk;
         src += chunk;

@@ -99,6 +99,13 @@ class PhysicalMemory : public Memory
     void checkAccess(Addr pa) const;
     void checkRange(Addr pa, Addr bytes, const char *what) const;
 
+    /**
+     * Nonzero words of a word-aligned span within a single frame. A
+     * whole frame, or one that holds no data, is answered from the
+     * frame's count without reading the store.
+     */
+    std::size_t nonzeroWithin(Addr pa, Addr bytes) const;
+
     /** Zero a word-aligned span that lies within a single frame. */
     void zeroWithinFrame(Addr pa, Addr bytes);
 

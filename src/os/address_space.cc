@@ -1,7 +1,6 @@
 #include "os/address_space.hh"
 
 #include "common/log.hh"
-#include "common/ordered.hh"
 
 namespace dmt
 {
@@ -9,22 +8,39 @@ namespace dmt
 AddressSpace::AddressSpace(Memory &mem, BuddyAllocator &allocator,
                            AddressSpaceConfig config)
     : mem_(mem), allocator_(allocator), config_(config),
-      pt_(mem, allocator, config.ptLevels)
+      pt_(mem, allocator, config.ptLevels),
+      frameToVa_(static_cast<std::size_t>(allocator.numFrames()), 0)
 {
 }
 
 AddressSpace::~AddressSpace()
 {
     // Free data frames before the page table tears itself down, in
-    // sorted frame order: the release order shapes the buddy free
-    // lists, which later allocations (and thus every downstream
-    // counter) observe.
-    for (const Pfn pfn : sortedKeys(frameToVa_)) {
-        const int order =
-            frameToVa_.at(pfn).second == PageSize::Size2M ? 9 : 0;
-        allocator_.freePages(pfn, order);
+    // ascending frame order, so teardown makes the same allocator
+    // calls in the same order on every run.
+    for (std::size_t pfn = 0; pfn < frameToVa_.size(); ++pfn) {
+        const std::uint64_t entry = frameToVa_[pfn];
+        if (entry & trackedBit)
+            allocator_.freePages(pfn, (entry & hugeBit) ? 9 : 0);
     }
-    frameToVa_.clear();
+}
+
+void
+AddressSpace::track(Pfn pfn, Addr va, PageSize size)
+{
+    DMT_ASSERT(pfn < frameToVa_.size(), "frame 0x%llx out of range",
+               static_cast<unsigned long long>(pfn));
+    frameToVa_[pfn] = va | trackedBit |
+                      (size == PageSize::Size2M ? hugeBit : 0);
+}
+
+bool
+AddressSpace::untrack(Pfn pfn)
+{
+    if (pfn >= frameToVa_.size() || !(frameToVa_[pfn] & trackedBit))
+        return false;
+    frameToVa_[pfn] = 0;
+    return true;
 }
 
 const Vma &
@@ -79,7 +95,7 @@ AddressSpace::mapPage(Addr va, const Vma &vma)
                 allocator_.allocPages(9, FrameKind::Movable);
             if (frame) {
                 pt_.map(hugeBase, *frame, PageSize::Size2M);
-                frameToVa_[*frame] = {hugeBase, PageSize::Size2M};
+                track(*frame, hugeBase, PageSize::Size2M);
                 dataFrames_ += 512;
                 ++hugeMappings_;
                 return;
@@ -91,7 +107,7 @@ AddressSpace::mapPage(Addr va, const Vma &vma)
     if (!frame)
         fatal("out of physical memory for data pages");
     pt_.map(pageBase, *frame, PageSize::Size4K);
-    frameToVa_[*frame] = {pageBase, PageSize::Size4K};
+    track(*frame, pageBase, PageSize::Size4K);
     ++dataFrames_;
 }
 
@@ -134,7 +150,7 @@ AddressSpace::releaseRange(Addr base, Addr size)
                    "1 GB data pages are not allocated by this OS");
         // Untracked frames were spliced in by someone else
         // (replaceBacking) and stay owned by them.
-        if (frameToVa_.erase(tr->pfn) > 0) {
+        if (untrack(tr->pfn)) {
             allocator_.freePages(tr->pfn, order);
             dataFrames_ -= (order == 9) ? 512 : 1;
             if (order == 9)
@@ -155,13 +171,11 @@ AddressSpace::replaceBacking(Addr va, Pfn new_frame)
         const Pfn basePfn = tr->pfn;
         const bool ok = pt_.demote2M(hugeVa);
         DMT_ASSERT(ok, "demote2M failed in replaceBacking");
-        frameToVa_.erase(basePfn);
+        untrack(basePfn);
         DMT_ASSERT(hugeMappings_ > 0, "huge mapping underflow");
         --hugeMappings_;
-        for (int i = 0; i < 512; ++i) {
-            frameToVa_[basePfn + i] = {hugeVa + i * pageSize,
-                                       PageSize::Size4K};
-        }
+        for (int i = 0; i < 512; ++i)
+            track(basePfn + i, hugeVa + i * pageSize, PageSize::Size4K);
         tr = pt_.translate(va);
     }
     DMT_ASSERT(tr->size == PageSize::Size4K,
@@ -172,7 +186,7 @@ AddressSpace::replaceBacking(Addr va, Pfn new_frame)
     // Free the displaced frame only if this space owns it. An
     // untracked frame was itself spliced in earlier (e.g. a prior
     // gTEA grant re-pointed here) and stays owned by its splicer.
-    if (frameToVa_.erase(old) > 0) {
+    if (untrack(old)) {
         allocator_.freePages(old, 0);
         DMT_ASSERT(dataFrames_ > 0, "data frame underflow");
         --dataFrames_;
@@ -182,16 +196,16 @@ AddressSpace::replaceBacking(Addr va, Pfn new_frame)
 void
 AddressSpace::onFrameRelocated(Pfn from, Pfn to)
 {
-    auto it = frameToVa_.find(from);
-    if (it == frameToVa_.end())
+    const std::uint64_t entry =
+        from < frameToVa_.size() ? frameToVa_[from] : 0;
+    if (!(entry & trackedBit))
         return;  // frame belongs to another address space
-    const auto [va, size] = it->second;
-    DMT_ASSERT(size == PageSize::Size4K,
-               "compaction moves 4 KB frames only");
+    DMT_ASSERT(!(entry & hugeBit), "compaction moves 4 KB frames only");
+    const Addr va = entry & ~pageMask;
     mem_.copyRange(to << pageShift, from << pageShift, pageSize);
     pt_.updateLeaf(va, to);
-    frameToVa_.erase(it);
-    frameToVa_[to] = {va, size};
+    untrack(from);
+    track(to, va, PageSize::Size4K);
 }
 
 } // namespace dmt

@@ -16,7 +16,7 @@
 #define DMT_OS_ADDRESS_SPACE_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "common/types.hh"
 #include "mem/memory.hh"
@@ -116,13 +116,26 @@ class AddressSpace
     /** Unmap + free frames for every mapped page of a range. */
     void releaseRange(Addr base, Addr size);
 
+    /**
+     * Reverse-map entry of a frame this space allocated: the page's
+     * va, tagged with tracked (bit 0) and 2 MB (bit 1). Zero means
+     * untracked. Only base frames of 2 MB pages carry an entry.
+     */
+    static constexpr std::uint64_t trackedBit = 1;
+    static constexpr std::uint64_t hugeBit = 2;
+
+    void track(Pfn pfn, Addr va, PageSize size);
+
+    /** Drop pfn's entry. @return true if this space owned the frame. */
+    bool untrack(Pfn pfn);
+
     Memory &mem_;
     BuddyAllocator &allocator_;
     AddressSpaceConfig config_;
     VmaTree vmas_;
     RadixPageTable pt_;
-    /** Reverse map: base frame -> (va, size) for relocation fix-up. */
-    std::unordered_map<Pfn, std::pair<Addr, PageSize>> frameToVa_;
+    /** Reverse map for relocation fix-up, indexed by pfn. */
+    std::vector<std::uint64_t> frameToVa_;
     std::uint64_t dataFrames_ = 0;
     std::uint64_t hugeMappings_ = 0;
 };

@@ -10,12 +10,69 @@
 namespace dmt
 {
 
+FreeBlockSet::FreeBlockSet(int order, Pfn num_frames)
+    : order_(order),
+      blocks_((num_frames + (Pfn{1} << order) - 1) >> order),
+      bits_((blocks_ + 63) / 64, 0),
+      summary_((bits_.size() + 63) / 64, 0)
+{
+}
+
+bool
+FreeBlockSet::insert(Pfn base)
+{
+    const std::uint64_t idx = base >> order_;
+    DMT_ASSERT(idx < blocks_ && (idx << order_) == base,
+               "free block 0x%llx misaligned or beyond order %d",
+               static_cast<unsigned long long>(base), order_);
+    const std::size_t w = static_cast<std::size_t>(idx >> 6);
+    const std::uint64_t bit = std::uint64_t{1} << (idx & 63);
+    if (bits_[w] & bit)
+        return false;
+    bits_[w] |= bit;
+    summary_[w >> 6] |= std::uint64_t{1} << (w & 63);
+    lowWater_ = std::min(lowWater_, w >> 6);
+    ++count_;
+    return true;
+}
+
+bool
+FreeBlockSet::erase(Pfn base)
+{
+    if (!contains(base))
+        return false;
+    const std::uint64_t idx = base >> order_;
+    const std::size_t w = static_cast<std::size_t>(idx >> 6);
+    bits_[w] &= ~(std::uint64_t{1} << (idx & 63));
+    if (bits_[w] == 0)
+        summary_[w >> 6] &= ~(std::uint64_t{1} << (w & 63));
+    --count_;
+    return true;
+}
+
+Pfn
+FreeBlockSet::lowest()
+{
+    DMT_ASSERT(count_ > 0, "no free block at order %d", order_);
+    while (summary_[lowWater_] == 0)
+        ++lowWater_;
+    const std::size_t w =
+        (lowWater_ << 6) +
+        static_cast<std::size_t>(std::countr_zero(summary_[lowWater_]));
+    const std::uint64_t idx =
+        (std::uint64_t{w} << 6) +
+        static_cast<std::uint64_t>(std::countr_zero(bits_[w]));
+    return static_cast<Pfn>(idx << order_);
+}
+
 BuddyAllocator::BuddyAllocator(Pfn num_frames, int max_order)
     : numFrames_(num_frames), maxOrder_(max_order)
 {
     DMT_ASSERT(num_frames > 0, "buddy allocator needs frames");
     DMT_ASSERT(max_order >= 0 && max_order < 40, "bad max order");
-    freeLists_.resize(maxOrder_ + 1);
+    freeLists_.reserve(maxOrder_ + 1);
+    for (int order = 0; order <= maxOrder_; ++order)
+        freeLists_.emplace_back(order, numFrames_);
     kinds_.assign(numFrames_, FrameKind::Free);
     freeFrames_ = numFrames_;
     // Seed the free lists with maximal aligned blocks. Bypass the
@@ -88,8 +145,8 @@ BuddyAllocator::setKind(Pfn base, std::uint64_t n, FrameKind kind)
 void
 BuddyAllocator::removeFreeBlock(Pfn base, int order)
 {
-    auto erased = freeLists_[order].erase(base);
-    DMT_ASSERT(erased == 1, "free block (0x%llx, order %d) not found",
+    const bool erased = freeLists_[order].erase(base);
+    DMT_ASSERT(erased, "free block (0x%llx, order %d) not found",
                static_cast<unsigned long long>(base), order);
 }
 
@@ -101,10 +158,8 @@ BuddyAllocator::insertFreeBlock(Pfn base, int order)
         const Pfn buddy = base ^ (Pfn{1} << order);
         if (buddy + (Pfn{1} << order) > numFrames_)
             break;
-        auto it = freeLists_[order].find(buddy);
-        if (it == freeLists_[order].end())
+        if (!freeLists_[order].erase(buddy))
             break;
-        freeLists_[order].erase(it);
         base = std::min(base, buddy);
         ++order;
     }
@@ -121,8 +176,8 @@ BuddyAllocator::allocPages(int order, FrameKind kind)
         ++o;
     if (o > maxOrder_)
         return std::nullopt;
-    const Pfn base = *freeLists_[o].begin();
-    freeLists_[o].erase(freeLists_[o].begin());
+    const Pfn base = freeLists_[o].lowest();
+    freeLists_[o].erase(base);
     // Split back down, returning the upper halves to the free lists.
     while (o > order) {
         --o;
@@ -157,7 +212,7 @@ BuddyAllocator::findFreeBlockContaining(Pfn pfn) const
 {
     for (int order = 0; order <= maxOrder_; ++order) {
         const Pfn base = pfn & ~((Pfn{1} << order) - 1);
-        if (freeLists_[order].count(base))
+        if (freeLists_[order].contains(base))
             return {base, order};
     }
     panic("frame 0x%llx marked free but not in any free list",
@@ -358,16 +413,14 @@ BuddyAllocator::audit(AuditSink &sink) const
     std::uint64_t totalFree = 0;
     for (int order = 0; order <= maxOrder_; ++order) {
         const std::uint64_t n = std::uint64_t{1} << order;
-        for (Pfn base : freeLists_[order]) {
-            DMT_AUDIT_CHECK(sink, (base & (n - 1)) == 0,
-                            "misaligned free block 0x%llx at order %d",
-                            static_cast<unsigned long long>(base),
-                            order);
+        // Free bases come out block-aligned: a bitmap indexed by
+        // base >> order cannot hold a misaligned block.
+        freeLists_[order].forEach([&](Pfn base) {
             if (base + n > numFrames_) {
                 sink.fail("free block 0x%llx (order %d) out of range",
                           static_cast<unsigned long long>(base),
                           order);
-                continue;
+                return;
             }
             // An uncoalesced buddy pair means a free was mis-merged.
             if (order < maxOrder_) {
@@ -375,7 +428,7 @@ BuddyAllocator::audit(AuditSink &sink) const
                 DMT_AUDIT_CHECK(
                     sink,
                     buddy + n > numFrames_ ||
-                        freeLists_[order].count(buddy) == 0 ||
+                        !freeLists_[order].contains(buddy) ||
                         buddy < base,
                     "uncoalesced buddies 0x%llx/0x%llx at order %d",
                     static_cast<unsigned long long>(base),
@@ -394,7 +447,7 @@ BuddyAllocator::audit(AuditSink &sink) const
                 covered[base + i] = true;
             }
             totalFree += n;
-        }
+        });
     }
     DMT_AUDIT_CHECK(sink, totalFree == freeFrames_,
                     "free frame accounting mismatch: lists hold "

@@ -18,10 +18,10 @@
 #ifndef DMT_OS_BUDDY_ALLOCATOR_HH
 #define DMT_OS_BUDDY_ALLOCATOR_HH
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -40,6 +40,64 @@ enum class FrameKind : std::uint8_t
     Movable,    //!< application data; compaction may relocate it
     Unmovable,  //!< kernel data; pinned
     PageTable,  //!< page-table or TEA page; pinned
+};
+
+/**
+ * The free blocks of one buddy order: a bitmap over the order's block
+ * indices (base >> order) plus a summary bitmap with one bit per
+ * nonzero bitmap word. Lookups, inserts and erases are a bit test or
+ * flip; lowest() finds the smallest free base, the block a sorted set
+ * would yield first, by scanning the summary from a low-water hint.
+ */
+class FreeBlockSet
+{
+  public:
+    FreeBlockSet(int order, Pfn num_frames);
+
+    /** @return true if base was not already free at this order. */
+    bool insert(Pfn base);
+
+    /** @return true if base was free at this order. */
+    bool erase(Pfn base);
+
+    bool
+    contains(Pfn base) const
+    {
+        const std::uint64_t idx = base >> order_;
+        return idx < blocks_ &&
+               ((bits_[idx >> 6] >> (idx & 63)) & 1) != 0;
+    }
+
+    bool empty() const { return count_ == 0; }
+    std::size_t size() const { return count_; }
+
+    /** @return the lowest free base; the set must not be empty. */
+    Pfn lowest();
+
+    /** Call fn(base) for every free base, ascending. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        for (std::size_t w = 0; w < bits_.size(); ++w) {
+            for (std::uint64_t word = bits_[w]; word != 0;
+                 word &= word - 1) {
+                const std::uint64_t idx =
+                    (std::uint64_t{w} << 6) +
+                    static_cast<std::uint64_t>(std::countr_zero(word));
+                fn(static_cast<Pfn>(idx << order_));
+            }
+        }
+    }
+
+  private:
+    int order_;
+    std::uint64_t blocks_;                //!< block indices covered
+    std::vector<std::uint64_t> bits_;     //!< one bit per block
+    std::vector<std::uint64_t> summary_;  //!< one bit per bits_ word
+    /** No summary word below this index has a bit set. */
+    std::size_t lowWater_ = 0;
+    std::size_t count_ = 0;
 };
 
 /** Buddy allocator over a flat physical frame range [0, numFrames). */
@@ -178,7 +236,7 @@ class BuddyAllocator
     Pfn numFrames_;
     int maxOrder_;
     std::uint64_t freeFrames_ = 0;
-    std::vector<std::set<Pfn>> freeLists_;  //!< per order, base-sorted
+    std::vector<FreeBlockSet> freeLists_;  //!< per order
     std::vector<FrameKind> kinds_;          //!< per frame
     RelocationHook relocHook_;
     InvariantAuditor *auditor_ = nullptr;

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -289,6 +291,296 @@ TEST(Buddy, AllocContigFindsRunsAtTheEndOfMemory)
     alloc.freeContig(60, 4);
     EXPECT_EQ(alloc.allocContig(4, FrameKind::PageTable), Pfn{60});
     alloc.checkConsistency();
+}
+
+/**
+ * Reference model of the buddy allocator: one std::set of free bases
+ * per order plus a per-frame kind, with every choice written the
+ * plain way. allocPages takes the lowest base of the smallest order
+ * that fits, allocContig the lowest run of free frames, compact moves
+ * the highest movable frame into the lowest free one.
+ */
+class SetBuddy
+{
+  public:
+    SetBuddy(Pfn frames, int max_order)
+        : frames_(frames), maxOrder_(max_order), lists_(max_order + 1),
+          kinds_(frames, FrameKind::Free)
+    {
+        addFree(0, frames);
+    }
+
+    std::optional<Pfn>
+    allocPages(int order, FrameKind kind)
+    {
+        int o = order;
+        while (o <= maxOrder_ && lists_[o].empty())
+            ++o;
+        if (o > maxOrder_)
+            return std::nullopt;
+        const Pfn base = *lists_[o].begin();
+        lists_[o].erase(lists_[o].begin());
+        while (o > order) {
+            --o;
+            lists_[o].insert(base + (Pfn{1} << o));
+        }
+        setKind(base, Pfn{1} << order, kind);
+        return base;
+    }
+
+    void
+    freeRange(Pfn base, std::uint64_t n)
+    {
+        setKind(base, n, FrameKind::Free);
+        addFree(base, n);
+    }
+
+    std::optional<Pfn>
+    allocContig(std::uint64_t n, FrameKind kind)
+    {
+        std::uint64_t run = 0;
+        for (Pfn pfn = 0; pfn < frames_; ++pfn) {
+            run = kinds_[pfn] == FrameKind::Free ? run + 1 : 0;
+            if (run == n) {
+                claim(pfn + 1 - n, pfn + 1, kind);
+                return pfn + 1 - n;
+            }
+        }
+        return std::nullopt;
+    }
+
+    bool
+    expandInPlace(Pfn base, std::uint64_t cur, std::uint64_t extra,
+                  FrameKind kind)
+    {
+        const Pfn start = base + cur;
+        const Pfn end = start + extra;
+        if (end > frames_)
+            return false;
+        for (Pfn pfn = start; pfn < end; ++pfn) {
+            if (kinds_[pfn] != FrameKind::Free)
+                return false;
+        }
+        claim(start, end, kind);
+        return true;
+    }
+
+    /** @return the (from, to) moves, in order. */
+    std::vector<std::pair<Pfn, Pfn>>
+    compact(std::uint64_t max_moves)
+    {
+        std::vector<std::pair<Pfn, Pfn>> moves;
+        while (max_moves == 0 || moves.size() < max_moves) {
+            Pfn lowFree = 0;
+            while (lowFree < frames_ &&
+                   kinds_[lowFree] != FrameKind::Free)
+                ++lowFree;
+            Pfn highMovable = frames_;
+            while (highMovable > 0 &&
+                   kinds_[highMovable - 1] != FrameKind::Movable)
+                --highMovable;
+            if (highMovable == 0 || lowFree + 1 >= highMovable)
+                break;
+            claim(lowFree, lowFree + 1, FrameKind::Movable);
+            freeRange(highMovable - 1, 1);
+            moves.emplace_back(highMovable - 1, lowFree);
+        }
+        return moves;
+    }
+
+    std::size_t
+    freeBlocksAt(int order) const
+    {
+        return lists_[order].size();
+    }
+
+    FrameKind kindOf(Pfn pfn) const { return kinds_[pfn]; }
+
+  private:
+    void
+    setKind(Pfn base, std::uint64_t n, FrameKind kind)
+    {
+        for (Pfn pfn = base; pfn < base + n; ++pfn)
+            kinds_[pfn] = kind;
+    }
+
+    /** Insert one block, merging with its free buddy while possible. */
+    void
+    insert(Pfn base, int order)
+    {
+        for (; order < maxOrder_; ++order) {
+            const Pfn buddy = base ^ (Pfn{1} << order);
+            if (buddy + (Pfn{1} << order) > frames_ ||
+                lists_[order].erase(buddy) == 0)
+                break;
+            base = std::min(base, buddy);
+        }
+        lists_[order].insert(base);
+    }
+
+    /** Hand [base, base + n) back as maximal aligned blocks. */
+    void
+    addFree(Pfn base, std::uint64_t n)
+    {
+        while (n > 0) {
+            int o = maxOrder_;
+            if (base != 0)
+                o = std::min(o, std::countr_zero(base));
+            while ((std::uint64_t{1} << o) > n)
+                --o;
+            insert(base, o);
+            base += Pfn{1} << o;
+            n -= std::uint64_t{1} << o;
+        }
+    }
+
+    /** Take [start, end) out of every free block overlapping it. */
+    void
+    claim(Pfn start, Pfn end, FrameKind kind)
+    {
+        std::vector<std::pair<Pfn, Pfn>> cut;
+        for (int o = 0; o <= maxOrder_; ++o) {
+            auto &list = lists_[o];
+            // A block below start's aligned base ends at or before it.
+            auto it = list.lower_bound(start >> o << o);
+            while (it != list.end() && *it < end) {
+                cut.emplace_back(*it, *it + (Pfn{1} << o));
+                it = list.erase(it);
+            }
+        }
+        setKind(start, end - start, kind);
+        for (const auto &[lo, hi] : cut) {
+            if (lo < start)
+                addFree(lo, start - lo);
+            if (hi > end)
+                addFree(end, hi - end);
+        }
+    }
+
+    Pfn frames_;
+    int maxOrder_;
+    std::vector<std::set<Pfn>> lists_;
+    std::vector<FrameKind> kinds_;
+};
+
+/**
+ * Drive BuddyAllocator and the std::set model through the same seeded
+ * sequence of allocPages, freePages, allocContig, freeContig,
+ * expandInPlace, shrinkInPlace and compact: every returned pfn, every
+ * compaction move, every freeBlocksAt value and every frame's kind
+ * must agree, and checkConsistency must hold after each step.
+ */
+void
+checkAgainstSetModel(Pfn frames, int max_order, std::uint64_t seed)
+{
+    BuddyAllocator alloc(frames, max_order);
+    SetBuddy model(frames, max_order);
+    std::vector<std::pair<Pfn, Pfn>> moves;
+    alloc.setRelocationHook(
+        [&](Pfn from, Pfn to) { moves.emplace_back(from, to); });
+
+    struct Block
+    {
+        Pfn base;
+        std::uint64_t pages;
+        bool contig;  // allocContig run, else a 2^order block
+    };
+    std::vector<Block> live;
+    Rng rng(seed);
+    const FrameKind pinned[] = {FrameKind::Unmovable,
+                                FrameKind::PageTable};
+    for (int step = 0; step < 3000; ++step) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed << ", step "
+                                        << step);
+        const auto pick = rng.below(100);
+        if (pick < 35 || live.empty()) {
+            // Movable blocks are single frames: compaction moves
+            // 4 KB frames, as it does for data pages.
+            const bool movable = rng.below(3) == 0;
+            const int order =
+                movable ? 0 : static_cast<int>(rng.below(7));
+            const FrameKind kind =
+                movable ? FrameKind::Movable : pinned[rng.below(2)];
+            const auto got = alloc.allocPages(order, kind);
+            ASSERT_EQ(got, model.allocPages(order, kind)) << "order "
+                                                           << order;
+            if (got)
+                live.push_back({*got, std::uint64_t{1} << order, false});
+        } else if (pick < 50) {
+            const std::uint64_t n = 1 + rng.below(96);
+            const FrameKind kind = pinned[rng.below(2)];
+            const auto got = alloc.allocContig(n, kind);
+            ASSERT_EQ(got, model.allocContig(n, kind)) << n << " pages";
+            if (got)
+                live.push_back({*got, n, true});
+        } else if (pick < 75) {
+            const auto idx = rng.below(live.size());
+            const Block b = live[idx];
+            if (b.contig)
+                alloc.freeContig(b.base, b.pages);
+            else
+                alloc.freePages(b.base, std::countr_zero(b.pages));
+            model.freeRange(b.base, b.pages);
+            live[idx] = live.back();
+            live.pop_back();
+        } else if (pick < 85) {
+            const auto idx = rng.below(live.size());
+            Block &b = live[idx];
+            if (!b.contig)
+                continue;
+            const std::uint64_t extra = 1 + rng.below(24);
+            const FrameKind kind = alloc.kindOf(b.base);
+            const bool grew =
+                alloc.expandInPlace(b.base, b.pages, extra, kind);
+            ASSERT_EQ(grew,
+                      model.expandInPlace(b.base, b.pages, extra, kind));
+            if (grew)
+                b.pages += extra;
+        } else if (pick < 95) {
+            const auto idx = rng.below(live.size());
+            Block &b = live[idx];
+            if (!b.contig)
+                continue;
+            const std::uint64_t keep = 1 + rng.below(b.pages);
+            alloc.shrinkInPlace(b.base, b.pages, keep);
+            model.freeRange(b.base + keep, b.pages - keep);
+            b.pages = keep;
+        } else {
+            const std::uint64_t maxMoves = rng.below(40);
+            moves.clear();
+            const auto done = alloc.compact(maxMoves);
+            const auto want = model.compact(maxMoves);
+            ASSERT_EQ(moves, want);
+            ASSERT_EQ(done, want.size());
+            for (Block &b : live) {
+                for (const auto &[from, to] : want) {
+                    if (b.base == from)
+                        b.base = to;
+                }
+            }
+        }
+        for (int o = 0; o <= max_order; ++o)
+            ASSERT_EQ(alloc.freeBlocksAt(o), model.freeBlocksAt(o))
+                << "order " << o;
+        alloc.checkConsistency();
+        if (step % 250 == 0) {
+            for (Pfn pfn = 0; pfn < frames; ++pfn)
+                ASSERT_EQ(alloc.kindOf(pfn), model.kindOf(pfn))
+                    << "pfn " << pfn;
+        }
+    }
+}
+
+TEST(Buddy, MatchesSetModelOnSeededOps)
+{
+    checkAgainstSetModel(1 << 12, 18, 101);
+}
+
+TEST(Buddy, MatchesSetModelWithARaggedTail)
+{
+    // A frame count that is no power of two leaves short blocks at
+    // the top of memory that never coalesce past the end.
+    checkAgainstSetModel((1 << 12) + 77, 8, 202);
 }
 
 } // namespace

@@ -6,6 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <algorithm>
+#include <cstring>
+#include <vector>
+
+#include "common/rng.hh"
 #include "mem/cache.hh"
 #include "mem/memory_hierarchy.hh"
 #include "mem/physical_memory.hh"
@@ -115,6 +122,176 @@ TEST(PhysicalMemory, CopyOfZeroWordsDoesNotMaterialiseDestination)
     EXPECT_EQ(mem.framesInUse(), 2u);
     EXPECT_EQ(mem.wordsInUse(), 2u);
     EXPECT_EQ(mem.read64(0x9000), 1u);
+}
+
+/**
+ * PhysicalMemory::copyRange against Memory's word loop (the base-class
+ * body, called non-virtually on a second store). Words and wordsInUse
+ * must match exactly. framesInUse is checked against a per-frame model
+ * of the store's contract: a frame goes live when a nonzero word lands
+ * in it, and a whole-frame copy of a zero source drops it again.
+ */
+class CopyRangeDifferential
+{
+  public:
+    static constexpr Addr frames = 64;
+    static constexpr Addr frame = 4096;
+
+    CopyRangeDifferential()
+        : ranged_(frames * frame), wordwise_(frames * frame),
+          live_(frames, false)
+    {
+    }
+
+    void
+    write(Addr pa, std::uint64_t value)
+    {
+        ranged_.write64(pa, value);
+        wordwise_.write64(pa, value);
+        if (value != 0)
+            live_[pa / frame] = true;
+    }
+
+    void
+    copy(Addr dst, Addr src, Addr bytes, const char *what)
+    {
+        SCOPED_TRACE(what);
+        // Model the liveness outcome chunk by chunk, with chunks split
+        // at frame boundaries on both sides as the store splits them.
+        for (Addr d = dst, s = src, left = bytes; left > 0;) {
+            const Addr chunk = std::min(
+                {left, frame - d % frame, frame - s % frame});
+            bool nonzero = false;
+            for (Addr off = 0; off < chunk; off += 8)
+                nonzero = nonzero || wordwise_.read64(s + off) != 0;
+            if (nonzero)
+                live_[d / frame] = true;
+            else if (chunk == frame)
+                live_[d / frame] = false;
+            d += chunk;
+            s += chunk;
+            left -= chunk;
+        }
+        ranged_.copyRange(dst, src, bytes);
+        wordwise_.Memory::copyRange(dst, src, bytes);
+        expectSame();
+    }
+
+    void
+    expectSame() const
+    {
+        const auto a = ranged_.readWindow();
+        const auto b = wordwise_.readWindow();
+        const std::size_t words = static_cast<std::size_t>(a.bytes >> 3);
+        if (std::memcmp(a.words, b.words, words * 8) != 0) {
+            for (std::size_t w = 0; w < words; ++w) {
+                ASSERT_EQ(a.words[w], b.words[w])
+                    << "word at 0x" << std::hex << (w * 8);
+            }
+        }
+        EXPECT_EQ(ranged_.wordsInUse(), wordwise_.wordsInUse());
+        EXPECT_EQ(ranged_.framesInUse(),
+                  static_cast<std::size_t>(
+                      std::count(live_.begin(), live_.end(), true)));
+    }
+
+  private:
+    PhysicalMemory ranged_;
+    PhysicalMemory wordwise_;
+    std::vector<bool> live_;
+};
+
+TEST(PhysicalMemory, CopyRangeMatchesWordLoopOnListedCases)
+{
+    constexpr Addr F = CopyRangeDifferential::frame;
+    CopyRangeDifferential rig;
+    // Frames 0-7 and 16-23 hold seeded data with a quarter of the
+    // words zero; frame 8 is live but all zero; the rest never live.
+    Rng rng(0xc0b1);
+    for (const Addr first : {Addr{0}, 16 * F}) {
+        for (Addr off = 0; off < 8 * F; off += 8)
+            rig.write(first + off,
+                      rng.below(4) == 0 ? 0 : rng.next() | 1);
+    }
+    rig.write(8 * F + 0x40, 5);
+    rig.write(8 * F + 0x40, 0);
+    rig.expectSame();
+
+    rig.copy(9 * F, 0, 2 * F, "whole frames into frames not live");
+    rig.copy(16 * F, 2 * F, 2 * F,
+             "whole frames over live frames holding data");
+    rig.copy(18 * F + 0x208, 4 * F + 0xe38, F + 0x1f0,
+             "partial chunks over live frames holding data");
+    rig.copy(12 * F + 0x40, 5 * F + 0x10, 0x300,
+             "partial chunk into a frame not live");
+    rig.copy(20 * F, 8 * F, F,
+             "whole frame from a live all-zero source");
+    rig.copy(21 * F + 0x100, 8 * F + 0x80, 0x200,
+             "partial chunk from a live all-zero source");
+    rig.copy(22 * F, 30 * F, F, "whole frame from a source not live");
+    rig.copy(13 * F + 8, 31 * F, 0x100,
+             "partial chunk from a source not live");
+    rig.copy(23 * F + 0x800, 6 * F + 0x10, 3 * F,
+             "multi-frame span over live and not-live frames");
+    rig.copy(40 * F, 16 * F, 4 * F,
+             "whole frames read back from earlier copies");
+}
+
+TEST(PhysicalMemory, CopyRangeMatchesWordLoopOnSeededOps)
+{
+    constexpr Addr F = CopyRangeDifferential::frame;
+    constexpr Addr span = CopyRangeDifferential::frames * F;
+    CopyRangeDifferential rig;
+    Rng rng(0x5eed5);
+    for (int step = 0; step < 600; ++step) {
+        SCOPED_TRACE(testing::Message() << "step " << step);
+        if (rng.below(3) == 0) {
+            const Addr pa = rng.below(span / 8) * 8;
+            rig.write(pa, rng.below(3) == 0 ? 0 : rng.next() | 1);
+            continue;
+        }
+        // Half the copies move whole frames, half arbitrary words.
+        const bool whole = rng.below(2) == 0;
+        const Addr bytes =
+            whole ? (1 + rng.below(3)) * F : 8 * (1 + rng.below(1200));
+        Addr dst = 0;
+        Addr src = 0;
+        do {
+            dst = whole ? rng.below(span / F - 3) * F
+                        : rng.below((span - bytes) / 8) * 8;
+            src = whole ? rng.below(span / F - 3) * F
+                        : rng.below((span - bytes) / 8) * 8;
+        } while (dst < src + bytes && src < dst + bytes);
+        rig.copy(dst, src, bytes, whole ? "whole frames" : "words");
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+}
+
+/** Minor page faults this thread has taken so far. */
+long
+minorFaults()
+{
+    rusage usage{};
+    getrusage(RUSAGE_THREAD, &usage);
+    return usage.ru_minflt;
+}
+
+TEST(PhysicalMemory, CopyIntoFramesNotLiveFaultsEachPageOnce)
+{
+    // A destination frame that is not live reads as zero, so the copy
+    // must not read it: scanning it first would fault the host zero
+    // page in, and the memcpy would then fault the page a second time.
+    constexpr Addr pages = 256;
+    PhysicalMemory mem(4 * pages * 4096);
+    for (Addr p = 0; p < pages; ++p)
+        mem.write64(p * 4096, p + 1);
+    const long before = minorFaults();
+    mem.copyRange(2 * pages * 4096, 0, pages * 4096);
+    const long faults = minorFaults() - before;
+    EXPECT_LE(faults, static_cast<long>(pages + pages / 2));
+    EXPECT_EQ(mem.framesInUse(), 2 * pages);
+    EXPECT_EQ(mem.read64((2 * pages + 7) * 4096), 8u);
 }
 
 TEST(Cache, HitAfterInsertMissBefore)

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+#include <vector>
+
+#include "check/invariant_auditor.hh"
 #include "mem/physical_memory.hh"
 #include "os/address_space.hh"
 
@@ -193,6 +198,151 @@ TEST_F(SpaceFixture, CompactionHookKeepsTranslationsCorrect)
         // Content must still be reachable through the translation.
         EXPECT_EQ(mem.read64(tr->pa), Addr(1000 + i));
     }
+}
+
+/**
+ * AddressSpace's pfn-indexed reverse map against a std::map model
+ * (base pfn -> page va and size) through THP and 4 KB mappings, a
+ * 2 MB demote by replaceBacking, frame relocations, munmap and the
+ * destructor, which must free every owned frame once, as one block of
+ * its page size, in ascending frame order. Frees are observed through
+ * interval-1 audit sweeps, so the test needs the audit layer.
+ */
+TEST(AddressSpaceReverseMap, MatchesMapModelThroughTeardown)
+{
+#ifndef DMT_ENABLE_AUDIT
+    GTEST_SKIP() << "frees are observed through audit sweeps";
+#else
+    constexpr Pfn frames = Pfn{1} << 13;
+    PhysicalMemory mem(frames << pageShift);
+    InvariantAuditor auditor;  // outlives the allocator's hook
+    BuddyAllocator alloc(frames);
+    alloc.attachAuditor(auditor);
+
+    std::map<Pfn, std::pair<Addr, PageSize>> model;
+    std::vector<Pfn> spliced;
+    std::vector<bool> wasFree(frames);
+    std::vector<bool> wasMovable(frames);
+    std::vector<std::pair<Pfn, std::uint64_t>> freed;  // per free call
+    int hook = 0;
+    {
+        AddressSpaceConfig cfg;
+        cfg.thp = ThpMode::Always;
+        AddressSpace proc(mem, alloc, cfg);
+        const Addr hugeVa = 0x40000000;
+        const Addr smallVa = 0x80001000;  // unaligned: 4 KB pages
+        const Addr stackVa = 0x90000000;
+        proc.mmapAt(hugeVa, 2 * hugePageSize, VmaKind::Heap);
+        proc.mmapAt(smallVa, 48 * pageSize, VmaKind::Heap);
+        proc.mmapAt(stackVa, 16 * pageSize, VmaKind::Stack);
+        ASSERT_EQ(proc.hugeMappings(), 2u);
+        for (const auto &[base, size] :
+             {std::pair{hugeVa, 2 * hugePageSize},
+              std::pair{smallVa, 48 * pageSize},
+              std::pair{stackVa, 16 * pageSize}}) {
+            for (Addr va = base; va < base + size;) {
+                const auto tr = proc.pageTable().translate(va);
+                ASSERT_TRUE(tr.has_value());
+                model[tr->pfn] = {va, tr->size};
+                va += pageBytesOf(tr->size);
+            }
+        }
+
+        // Splicing a caller-owned frame into page 5 of a huge page
+        // demotes it; the space keeps owning the other 511 frames.
+        auto splice = [&](Addr va) {
+            const auto mine = alloc.allocPages(0, FrameKind::PageTable);
+            ASSERT_TRUE(mine.has_value());
+            proc.replaceBacking(va, *mine);
+            EXPECT_EQ(proc.pageTable().translate(va)->pfn, *mine);
+            spliced.push_back(*mine);
+        };
+        const Pfn hugeBase = proc.pageTable().translate(hugeVa)->pfn;
+        splice(hugeVa + 5 * pageSize);
+        model.erase(hugeBase);
+        for (Pfn i = 0; i < 512; ++i) {
+            if (i != 5)
+                model[hugeBase + i] = {hugeVa + i * pageSize,
+                                       PageSize::Size4K};
+        }
+        EXPECT_EQ(proc.hugeMappings(), 1u);
+        EXPECT_TRUE(alloc.isFree(hugeBase + 5));
+        const Pfn smallPfn =
+            proc.pageTable().translate(smallVa + 3 * pageSize)->pfn;
+        splice(smallVa + 3 * pageSize);
+        model.erase(smallPfn);
+        EXPECT_TRUE(alloc.isFree(smallPfn));
+
+        // Relocate frames the way compaction does: claim a target,
+        // fix the mapping up through the hook, free the source.
+        auto relocate = [&](Pfn from) {
+            const auto to = alloc.allocPages(0, FrameKind::Movable);
+            ASSERT_TRUE(to.has_value());
+            mem.write64(from << pageShift, from + 1);
+            proc.onFrameRelocated(from, *to);
+            alloc.freePages(from, 0);
+            const auto page = model.at(from);
+            model.erase(from);
+            model[*to] = page;
+            EXPECT_EQ(proc.pageTable().translate(page.first)->pfn, *to);
+            EXPECT_EQ(mem.read64(*to << pageShift), from + 1);
+        };
+        relocate(hugeBase + 7);
+        relocate(hugeBase + 300);
+        relocate(proc.pageTable().translate(smallVa)->pfn);
+        relocate(proc.pageTable().translate(smallVa + 40 * pageSize)->pfn);
+        // A frame the space does not own is left alone.
+        proc.onFrameRelocated(spliced.front(), spliced.back());
+        EXPECT_EQ(proc.pageTable().translate(hugeVa + 5 * pageSize)->pfn,
+                  spliced.front());
+
+        // munmap releases exactly the VMA's frames.
+        proc.munmap(stackVa);
+        for (auto it = model.begin(); it != model.end();) {
+            if (it->second.first >= stackVa) {
+                EXPECT_TRUE(alloc.isFree(it->first));
+                it = model.erase(it);
+            } else {
+                ++it;
+            }
+        }
+        EXPECT_EQ(proc.dataFrames(), 512u + 511u + 47u);
+
+        for (Pfn p = 0; p < frames; ++p) {
+            wasFree[p] = alloc.isFree(p);
+            wasMovable[p] = alloc.kindOf(p) == FrameKind::Movable;
+        }
+        hook = auditor.registerHook("teardown", [&](AuditSink &) {
+            std::uint64_t n = 0;
+            for (Pfn p = 0; p < frames; ++p) {
+                if (wasFree[p] || !alloc.isFree(p))
+                    continue;
+                wasFree[p] = true;
+                if (!wasMovable[p])
+                    continue;  // a page-table frame
+                if (n++ == 0)
+                    freed.emplace_back(p, 0);
+            }
+            if (n != 0)
+                freed.back().second = n;
+        });
+        auditor.setInterval(1);
+    }
+    auditor.setInterval(0);
+    auditor.unregisterHook(hook);
+    EXPECT_TRUE(auditor.violations().empty());
+
+    std::vector<std::pair<Pfn, std::uint64_t>> want;
+    for (const auto &[pfn, page] : model)
+        want.emplace_back(pfn, page.second == PageSize::Size2M ? 512 : 1);
+    EXPECT_EQ(freed, want);
+    for (const Pfn pfn : spliced) {
+        EXPECT_EQ(alloc.kindOf(pfn), FrameKind::PageTable);
+        alloc.freePages(pfn, 0);
+    }
+    EXPECT_EQ(alloc.freeFrames(), frames);
+    alloc.checkConsistency();
+#endif
 }
 
 } // namespace
