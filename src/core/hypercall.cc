@@ -29,6 +29,10 @@ TeaHypercall::allocTea(std::uint64_t pages)
     lastCost_ = secondsToCycles(hypercallVirtSeconds) +
                 pages * allocCyclesPerPage;
     cost_ += lastCost_;
+    // The page count is the guest's: refuse an empty run here rather
+    // than let it reach the host allocator's assert.
+    if (pages == 0)
+        return std::nullopt;
 
     const auto hostBase =
         hostAlloc_.allocContig(pages, FrameKind::PageTable);
@@ -105,6 +109,8 @@ NestedTeaHypercall::allocTea(std::uint64_t pages)
     lastCost_ = secondsToCycles(hypercallNestedSeconds) +
                 pages * TeaHypercall::allocCyclesPerPage;
     cost_ += lastCost_;
+    if (pages == 0)
+        return std::nullopt;
 
     const auto l0Base =
         l0Alloc_.allocContig(pages, FrameKind::PageTable);

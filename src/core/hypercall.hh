@@ -65,7 +65,8 @@ class TeaHypercall
      *
      * @return the grant, or nullopt if host contiguity (or guest
      *         physical space) is unavailable — the guest then splits
-     *         its mapping and retries with smaller requests.
+     *         its mapping and retries with smaller requests. A
+     *         request for zero pages is refused (and still charged).
      */
     std::optional<TeaGrant> allocTea(std::uint64_t pages);
 
@@ -137,7 +138,10 @@ class NestedTeaHypercall
     NestedTeaHypercall(const NestedTeaHypercall &) = delete;
     NestedTeaHypercall &operator=(const NestedTeaHypercall &) = delete;
 
-    /** Allocate an L0-contiguous run of L2 table frames. */
+    /**
+     * Allocate an L0-contiguous run of L2 table frames; nullopt as
+     * for TeaHypercall::allocTea, zero pages included.
+     */
     std::optional<TeaGrant> allocTea(std::uint64_t pages);
 
     void freeTea(int gtea_id);

@@ -94,7 +94,10 @@ AddressSpace::mapPage(Addr va, const Vma &vma)
             const auto frame =
                 allocator_.allocPages(9, FrameKind::Movable);
             if (frame) {
+                const auto pause = leafChange();
                 pt_.map(hugeBase, *frame, PageSize::Size2M);
+                if (frames_)
+                    frames_->map(hugeBase, hugePageSize, *frame);
                 track(*frame, hugeBase, PageSize::Size2M);
                 dataFrames_ += 512;
                 ++hugeMappings_;
@@ -106,7 +109,10 @@ AddressSpace::mapPage(Addr va, const Vma &vma)
     const auto frame = allocator_.allocPages(0, FrameKind::Movable);
     if (!frame)
         fatal("out of physical memory for data pages");
+    const auto pause = leafChange();
     pt_.map(pageBase, *frame, PageSize::Size4K);
+    if (frames_)
+        frames_->map(pageBase, pageSize, *frame);
     track(*frame, pageBase, PageSize::Size4K);
     ++dataFrames_;
 }
@@ -144,7 +150,12 @@ AddressSpace::releaseRange(Addr base, Addr size)
         }
         const Addr bytes = pageBytesOf(tr->size);
         const Addr pageBase = pageAlignDown(va, tr->size);
-        pt_.unmap(pageBase);
+        {
+            const auto pause = leafChange();
+            pt_.unmap(pageBase);
+            if (frames_)
+                frames_->unmap(pageBase, bytes);
+        }
         const int order = tr->size == PageSize::Size2M ? 9 : 0;
         DMT_ASSERT(tr->size != PageSize::Size1G,
                    "1 GB data pages are not allocated by this OS");
@@ -182,7 +193,13 @@ AddressSpace::replaceBacking(Addr va, Pfn new_frame)
                "replaceBacking expects 4 KB granularity");
     const Addr pageVa = pageAlignDown(va);
     const Pfn old = tr->pfn;
-    pt_.updateLeaf(pageVa, new_frame);
+    {
+        // The demote above changed no translation; this does.
+        const auto pause = leafChange();
+        pt_.updateLeaf(pageVa, new_frame);
+        if (frames_)
+            frames_->map(pageVa, pageSize, new_frame);
+    }
     // Free the displaced frame only if this space owns it. An
     // untracked frame was itself spliced in earlier (e.g. a prior
     // gTEA grant re-pointed here) and stays owned by its splicer.
@@ -191,6 +208,14 @@ AddressSpace::replaceBacking(Addr va, Pfn new_frame)
         DMT_ASSERT(dataFrames_ > 0, "data frame underflow");
         --dataFrames_;
     }
+}
+
+void
+AddressSpace::attachFrameMap(FrameMap &map)
+{
+    DMT_ASSERT(frames_ == nullptr && dataFrames_ == 0,
+               "attach the frame map before the first mapping");
+    frames_ = &map;
 }
 
 void
@@ -203,7 +228,12 @@ AddressSpace::onFrameRelocated(Pfn from, Pfn to)
     DMT_ASSERT(!(entry & hugeBit), "compaction moves 4 KB frames only");
     const Addr va = entry & ~pageMask;
     mem_.copyRange(to << pageShift, from << pageShift, pageSize);
-    pt_.updateLeaf(va, to);
+    {
+        const auto pause = leafChange();
+        pt_.updateLeaf(va, to);
+        if (frames_)
+            frames_->map(va, pageSize, to);
+    }
     untrack(from);
     track(to, va, PageSize::Size4K);
 }

@@ -18,9 +18,11 @@
 #include <cstdint>
 #include <vector>
 
+#include "check/invariant_auditor.hh"
 #include "common/types.hh"
 #include "mem/memory.hh"
 #include "os/buddy_allocator.hh"
+#include "os/frame_map.hh"
 #include "os/vma.hh"
 #include "pt/radix_page_table.hh"
 
@@ -103,6 +105,14 @@ class AddressSpace
      */
     void replaceBacking(Addr va, Pfn new_frame);
 
+    /**
+     * Keep `map` exact from now on: every leaf this space maps,
+     * unmaps, splices or relocates inside the map's window updates
+     * its entries. Attach before the first mapping; the map must
+     * outlive every later leaf change.
+     */
+    void attachFrameMap(FrameMap &map);
+
     /** Number of data frames (4 KB units) currently allocated. */
     std::uint64_t dataFrames() const { return dataFrames_; }
 
@@ -129,6 +139,17 @@ class AddressSpace
     /** Drop pfn's entry. @return true if this space owned the frame. */
     bool untrack(Pfn pfn);
 
+    /**
+     * Hold interval audit sweeps across a leaf change, so none sees
+     * the page table updated and the frame map not yet.
+     */
+    InvariantAuditor::Pause
+    leafChange() const
+    {
+        return InvariantAuditor::Pause(frames_ ? frames_->auditor()
+                                               : nullptr);
+    }
+
     Memory &mem_;
     BuddyAllocator &allocator_;
     AddressSpaceConfig config_;
@@ -136,6 +157,8 @@ class AddressSpace
     RadixPageTable pt_;
     /** Reverse map for relocation fix-up, indexed by pfn. */
     std::vector<std::uint64_t> frameToVa_;
+    /** Frame map kept exact at every leaf change, or null. */
+    FrameMap *frames_ = nullptr;
     std::uint64_t dataFrames_ = 0;
     std::uint64_t hugeMappings_ = 0;
 };

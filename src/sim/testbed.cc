@@ -449,6 +449,8 @@ VirtTestbed::attachAuditor(InvariantAuditor &auditor)
     vm_->guestSpace().pageTable().attachAuditor(auditor, "guest-pt");
     vm_->containerSpace().pageTable().attachAuditor(auditor,
                                                     "host-pt");
+    vm_->frameMap().attachAuditor(
+        auditor, vm_->containerSpace().pageTable(), "vm-frames");
     if (guestTeaMgr_)
         guestTeaMgr_->attachAuditor(auditor, "guest-tea");
     if (hostTeaMgr_)
@@ -594,6 +596,11 @@ NestedTestbed::attachAuditor(InvariantAuditor &auditor)
     stack_->l1Container().pageTable().attachAuditor(auditor, "l1-pt");
     stack_->vm1().containerSpace().pageTable().attachAuditor(
         auditor, "l0-pt");
+    stack_->vm1().frameMap().attachAuditor(
+        auditor, stack_->vm1().containerSpace().pageTable(),
+        "l1-frames");
+    stack_->l2FrameMap().attachAuditor(
+        auditor, stack_->l1Container().pageTable(), "l2-frames");
     if (l2TeaMgr_)
         l2TeaMgr_->attachAuditor(auditor, "l2-tea");
     if (l1TeaMgr_)

@@ -10,49 +10,48 @@
  * Views compose, which is how the L2 space of nested virtualization
  * is reached through two translation layers.
  *
- * Range operations (table zeroing, leaf-table relocation, TEA
- * migration) run page by page: one translation per 4 KB chunk, then
- * the backing store's own range op on the chunk. Every guest mapping
- * is at least 4 KB and page aligned, so a chunk that stays inside one
- * guest page is contiguous in the backing space.
+ * The translation is one read of the container's exact FrameMap, not
+ * a walk of its page table. Range operations (table zeroing,
+ * leaf-table relocation, TEA migration) run page by page: one
+ * translation per 4 KB chunk, then the backing store's own range op
+ * on the chunk. Every guest mapping is at least 4 KB and page
+ * aligned, so a chunk that stays inside one guest page is contiguous
+ * in the backing space.
  */
 
 #ifndef DMT_VIRT_GUEST_MEMORY_VIEW_HH
 #define DMT_VIRT_GUEST_MEMORY_VIEW_HH
 
 #include <algorithm>
-#include <functional>
-#include <utility>
 
 #include "common/log.hh"
 #include "common/types.hh"
 #include "mem/memory.hh"
+#include "os/frame_map.hh"
 
 namespace dmt
 {
 
 /** Memory view applying a gPA -> backing-PA translation per access. */
-class GuestMemoryView : public Memory
+class GuestMemoryView final : public Memory
 {
   public:
-    /** Translates a guest-physical address to a backing address. */
-    using TranslateFn = std::function<Addr(Addr)>;
-
-    GuestMemoryView(Memory &backing, TranslateFn translate)
-        : backing_(backing), translate_(std::move(translate))
+    /** @param frames gPA -> backing frame map; must outlive the view */
+    GuestMemoryView(Memory &backing, const FrameMap &frames)
+        : backing_(backing), frames_(frames)
     {
     }
 
     std::uint64_t
     read64(Addr pa) const override
     {
-        return backing_.read64(translate_(pa));
+        return backing_.read64(frames_.translate(pa));
     }
 
     void
     write64(Addr pa, std::uint64_t value) override
     {
-        backing_.write64(translate_(pa), value);
+        backing_.write64(frames_.translate(pa), value);
     }
 
     void
@@ -62,7 +61,7 @@ class GuestMemoryView : public Memory
                    "zeroRange must be word aligned");
         while (bytes > 0) {
             const Addr chunk = std::min(bytes, pageSize - (pa & pageMask));
-            backing_.zeroRange(translate_(pa), chunk);
+            backing_.zeroRange(frames_.translate(pa), chunk);
             pa += chunk;
             bytes -= chunk;
         }
@@ -80,7 +79,8 @@ class GuestMemoryView : public Memory
             const Addr chunk =
                 std::min({bytes, pageSize - (dst & pageMask),
                           pageSize - (src & pageMask)});
-            backing_.copyRange(translate_(dst), translate_(src), chunk);
+            backing_.copyRange(frames_.translate(dst),
+                               frames_.translate(src), chunk);
             dst += chunk;
             src += chunk;
             bytes -= chunk;
@@ -89,7 +89,7 @@ class GuestMemoryView : public Memory
 
   private:
     Memory &backing_;
-    TranslateFn translate_;
+    const FrameMap &frames_;
 };
 
 } // namespace dmt

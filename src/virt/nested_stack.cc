@@ -8,7 +8,9 @@ namespace dmt
 
 NestedStack::NestedStack(Memory &l0_mem, BuddyAllocator &l0_alloc,
                          const NestedConfig &config)
-    : config_(config)
+    : config_(config),
+      l2Frames_(config.l2paBaseL1va, config.l2Bytes,
+                config.l1Bytes >> pageShift)
 {
     DMT_ASSERT(config.l2Bytes <= config.l1Bytes,
                "L2 memory cannot exceed L1 memory");
@@ -26,15 +28,15 @@ NestedStack::NestedStack(Memory &l0_mem, BuddyAllocator &l0_alloc,
     l1Cfg.thp = config.l1Thp;
     l1Container_ = std::make_unique<AddressSpace>(
         vm1_->guestMem(), vm1_->guestAllocator(), l1Cfg);
+    l1Container_->attachFrameMap(l2Frames_);
     l1Container_->mmapAt(config.l2paBaseL1va, config.l2Bytes,
                          VmaKind::MappedFile, /*populate=*/true);
 
     // L2 physical frames and the view resolving L2PA -> L1PA -> L0.
     l2Alloc_ = std::make_unique<BuddyAllocator>(
         config.l2Bytes >> pageShift);
-    l2View_ = std::make_unique<GuestMemoryView>(
-        vm1_->guestMem(),
-        [this](Addr l2pa) { return l2paToL1pa(l2pa); });
+    l2View_ = std::make_unique<GuestMemoryView>(vm1_->guestMem(),
+                                                l2Frames_);
 
     // The L2 guest workload process.
     AddressSpaceConfig l2Cfg;
@@ -95,10 +97,7 @@ NestedStack::l2paToL1va(Addr l2pa) const
 Addr
 NestedStack::l2paToL1pa(Addr l2pa) const
 {
-    const auto tr =
-        l1Container_->pageTable().translate(l2paToL1va(l2pa));
-    DMT_ASSERT(tr.has_value(), "L2 physical memory not backed by L1");
-    return tr->pa;
+    return l2Frames_.translate(l2pa);
 }
 
 Addr

@@ -8,6 +8,10 @@
  *   L2 PA  --(L1 container process)--> L1 PA
  *   L1 PA  --(L0 container process)--> L0 PA
  *
+ * Each container keeps an exact FrameMap of its window: L2 PA -> L1
+ * PA is one read of the L1 container's map, and L1 PA -> L0 PA one
+ * read of VM1's, so an L2 word costs two array reads, not walks.
+ *
  * The baseline translates L2 VA with a 2-D walk over the L2 page
  * table and an L0-maintained shadow table compressing the two lower
  * layers (L2PA -> L0PA); pvDMT replaces the whole stack with three
@@ -21,6 +25,7 @@
 
 #include "common/types.hh"
 #include "os/address_space.hh"
+#include "os/frame_map.hh"
 #include "virt/shadow_pager.hh"
 #include "virt/virtual_machine.hh"
 
@@ -55,6 +60,9 @@ class NestedStack
 
     /** L1 hypervisor's container process backing L2 physical memory. */
     AddressSpace &l1Container() { return *l1Container_; }
+
+    /** The L2 PA -> L1 frame map the L1 container keeps exact. */
+    FrameMap &l2FrameMap() { return l2Frames_; }
 
     /** L2-physical frame allocator. */
     BuddyAllocator &l2Allocator() { return *l2Alloc_; }
@@ -98,6 +106,7 @@ class NestedStack
     NestedConfig config_;
     std::unique_ptr<VirtualMachine> vm1_;
     std::unique_ptr<AddressSpace> l1Container_;
+    FrameMap l2Frames_;
     std::unique_ptr<BuddyAllocator> l2Alloc_;
     std::unique_ptr<GuestMemoryView> l2View_;
     std::unique_ptr<AddressSpace> l2Space_;

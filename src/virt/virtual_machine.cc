@@ -8,7 +8,8 @@ namespace dmt
 VirtualMachine::VirtualMachine(Memory &host_mem,
                                BuddyAllocator &host_alloc,
                                const VmConfig &config)
-    : config_(config)
+    : config_(config),
+      frames_(config.gpaBaseHva, config.vmBytes, host_alloc.numFrames())
 {
     DMT_ASSERT((config.vmBytes & pageMask) == 0,
                "VM size must be page aligned");
@@ -21,15 +22,15 @@ VirtualMachine::VirtualMachine(Memory &host_mem,
     container_ =
         std::make_unique<AddressSpace>(host_mem, host_alloc,
                                        containerCfg);
+    container_->attachFrameMap(frames_);
     container_->mmapAt(config.gpaBaseHva, config.vmBytes,
                        VmaKind::MappedFile, /*populate=*/true);
 
     // Guest-physical frames and the view resolving them to host
-    // physical addresses through the container page table.
+    // physical addresses through the frame map.
     guestAlloc_ = std::make_unique<BuddyAllocator>(
         config.vmBytes >> pageShift);
-    guestView_ = std::make_unique<GuestMemoryView>(
-        host_mem, [this](Addr gpa) { return gpaToHostPa(gpa); });
+    guestView_ = std::make_unique<GuestMemoryView>(host_mem, frames_);
 
     // The guest OS's workload process.
     AddressSpaceConfig guestCfg;
@@ -37,20 +38,6 @@ VirtualMachine::VirtualMachine(Memory &host_mem,
     guestCfg.thp = config.guestThp;
     guest_ = std::make_unique<AddressSpace>(*guestView_, *guestAlloc_,
                                             guestCfg);
-}
-
-Addr
-VirtualMachine::gpaToHostPa(Addr gpa) const
-{
-    DMT_ASSERT(gpa < config_.vmBytes,
-               "guest physical address 0x%llx beyond VM memory",
-               static_cast<unsigned long long>(gpa));
-    const auto tr =
-        container_->pageTable().translate(gpaToHva(gpa));
-    DMT_ASSERT(tr.has_value(),
-               "guest physical memory not backed at gpa 0x%llx",
-               static_cast<unsigned long long>(gpa));
-    return tr->pa;
 }
 
 } // namespace dmt

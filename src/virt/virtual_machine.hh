@@ -9,8 +9,9 @@
  *    typically creates one VMA to represent the guest physical
  *    memory"); its page table plays the role of the EPT/NPT,
  *  - a guest-side frame allocator over the guest-physical range,
- *  - a guest-physical memory view resolving through the container
- *    page table, and
+ *  - a guest-physical memory view resolving through an exact frame
+ *    map of that VMA, which the container keeps in step with its page
+ *    table, and
  *  - the guest OS's own address space (gVA -> gPA) built on top.
  *
  * The class is level-agnostic: construct it over host physical memory
@@ -26,6 +27,7 @@
 #include "common/types.hh"
 #include "os/address_space.hh"
 #include "os/buddy_allocator.hh"
+#include "os/frame_map.hh"
 #include "virt/guest_memory_view.hh"
 
 namespace dmt
@@ -75,15 +77,19 @@ class VirtualMachine
 
     /**
      * Resolve a guest-physical address to the host level's physical
-     * address through the container page table.
+     * address: one read of the frame map.
      */
-    Addr gpaToHostPa(Addr gpa) const;
+    Addr gpaToHostPa(Addr gpa) const { return frames_.translate(gpa); }
+
+    /** The gPA -> host frame map the container keeps exact. */
+    FrameMap &frameMap() { return frames_; }
 
     const VmConfig &config() const { return config_; }
 
   private:
     VmConfig config_;
     std::unique_ptr<AddressSpace> container_;
+    FrameMap frames_;
     std::unique_ptr<BuddyAllocator> guestAlloc_;
     std::unique_ptr<GuestMemoryView> guestView_;
     std::unique_ptr<AddressSpace> guest_;

@@ -4,7 +4,9 @@
  * (sweeps, intervals, pauses, unregistration), silence on a clean
  * machine, and — the point of the exercise — detection of each
  * deliberately injected corruption: a scribbled TEA-backed table
- * pointer, a buddy double free, and a stale TLB entry.
+ * pointer, a buddy double free, a stale TLB entry, and a container
+ * leaf rewritten behind a guest frame map's back. Also: a hostile
+ * guest's zero-page TEA hypercall leaves the testbed audit-clean.
  */
 
 #include <gtest/gtest.h>
@@ -13,12 +15,15 @@
 #include <string>
 
 #include "check/invariant_auditor.hh"
+#include "core/hypercall.hh"
 #include "core/mapping_manager.hh"
 #include "core/tea_manager.hh"
 #include "mem/physical_memory.hh"
 #include "os/address_space.hh"
 #include "pt/pte.hh"
+#include "sim/testbed.hh"
 #include "tlb/tlb.hh"
+#include "workloads/workloads.hh"
 
 namespace dmt
 {
@@ -270,6 +275,149 @@ TEST_F(AuditFixture, StaleTlbEntryIsDetected)
     tlbs.flush();
     auditor.clearViolations();
     EXPECT_EQ(auditor.sweep(), 0u);
+}
+
+constexpr double tinyScale = 1.0 / 1024.0;  //!< 128 MB GUPS
+
+/** A virt pvDMT testbed after setup and build, audited. */
+struct VirtPvRig
+{
+    VirtPvRig() : wl(makeWorkload("GUPS", tinyScale)),
+                  tb(wl->footprintBytes(), {})
+    {
+        tb.attachDmt(true);
+        wl->setup(tb.proc());
+        tb.build(Design::PvDmt);
+        tb.attachAuditor(auditor);
+    }
+
+    InvariantAuditor auditor;  //!< must outlive the testbed
+    std::unique_ptr<Workload> wl;
+    VirtTestbed tb;
+};
+
+/** A nested pvDMT testbed after setup and build, audited. */
+struct NestedPvRig
+{
+    NestedPvRig() : wl(makeWorkload("GUPS", tinyScale)),
+                    tb(wl->footprintBytes(), {})
+    {
+        tb.attachPvDmt();
+        wl->setup(tb.proc());
+        tb.build(Design::PvDmt);
+        tb.attachAuditor(auditor);
+    }
+
+    InvariantAuditor auditor;
+    std::unique_ptr<Workload> wl;
+    NestedTestbed tb;
+};
+
+/**
+ * Point the container leaf at `va` one frame off, bypassing the frame
+ * map; expect `checker` to report it, then restore the leaf and expect
+ * a clean sweep.
+ */
+void
+expectStaleFrameMapReported(InvariantAuditor &auditor,
+                            RadixPageTable &container, Addr va,
+                            const std::string &checker)
+{
+    ASSERT_EQ(auditor.sweep(), 0u);
+    const auto tr = container.translate(va);
+    ASSERT_TRUE(tr.has_value());
+    container.updateLeaf(va, tr->pfn + 1);
+    EXPECT_GT(auditor.sweep(), 0u);
+    EXPECT_TRUE(anyFrom(auditor.violations(), checker));
+    container.updateLeaf(va, tr->pfn);
+    auditor.clearViolations();
+    EXPECT_EQ(auditor.sweep(), 0u);
+}
+
+TEST(FrameMapAudit, VirtStaleEntryIsReported)
+{
+    VirtPvRig rig;
+    expectStaleFrameMapReported(
+        rig.auditor, rig.tb.vm().containerSpace().pageTable(),
+        rig.tb.vm().gpaToHva(Addr{77} << pageShift), "vm-frames");
+}
+
+TEST(FrameMapAudit, NestedStaleEntriesAreReportedPerLayer)
+{
+    NestedPvRig rig;
+    NestedStack &stack = rig.tb.stack();
+    expectStaleFrameMapReported(rig.auditor,
+                                stack.l1Container().pageTable(),
+                                stack.l2paToL1va(Addr{77} << pageShift),
+                                "l2-frames");
+    expectStaleFrameMapReported(
+        rig.auditor, stack.vm1().containerSpace().pageTable(),
+        stack.vm1().gpaToHva(Addr{77} << pageShift), "l1-frames");
+}
+
+/**
+ * Sweeping at every mutation event, through a container's whole life
+ * (populate, pvDMT splices, compaction, munmap, re-mmap, growVma):
+ * no sweep may land between a page-table change and its frame-map
+ * update.
+ */
+TEST(FrameMapAudit, EveryEventSweepSeesNoHalfDoneLeafChange)
+{
+    for (const ThpMode thp : {ThpMode::Never, ThpMode::Always}) {
+        InvariantAuditor auditor;
+        PhysicalMemory hostMem(Addr{64} << 20);
+        BuddyAllocator hostAlloc((Addr{64} << 20) >> pageShift);
+        VmConfig cfg;
+        cfg.vmBytes = Addr{4} << 20;
+        cfg.hostThp = thp;
+        VirtualMachine vm(hostMem, hostAlloc, cfg);
+        AddressSpace &container = vm.containerSpace();
+        hostAlloc.attachAuditor(auditor, "host-buddy");
+        container.pageTable().attachAuditor(auditor, "host-pt");
+        vm.frameMap().attachAuditor(auditor, container.pageTable(),
+                                    "vm-frames");
+        auditor.setInterval(1);
+
+        GteaTable table;
+        TeaHypercall hypercall(vm, hostAlloc, table);
+        ASSERT_TRUE(hypercall.allocTea(8).has_value());
+        if (thp == ThpMode::Never) {
+            hostAlloc.setRelocationHook([&](Pfn from, Pfn to) {
+                container.onFrameRelocated(from, to);
+            });
+            EXPECT_GT(hostAlloc.compact(64), 0u);
+        }
+        const Addr base = vm.gpaToHva(0);
+        container.munmap(base);
+        container.mmapAt(base, cfg.vmBytes / 2, VmaKind::MappedFile);
+        container.growVma(base, cfg.vmBytes);
+
+        EXPECT_GT(auditor.stats().sweeps, 100u);
+        EXPECT_TRUE(auditor.clean())
+            << auditor.violations().front().checker << ": "
+            << auditor.violations().front().detail;
+        auditor.setInterval(0);
+    }
+}
+
+TEST(HostileGuest, VirtZeroPageTeaRequestIsRefused)
+{
+    VirtPvRig rig;
+    TeaHypercall &hc = *rig.tb.hypercall();
+    const Counter calls = hc.hypercalls();
+    EXPECT_FALSE(hc.allocTea(0).has_value());
+    EXPECT_EQ(hc.hypercalls(), calls + 1);
+    EXPECT_EQ(rig.auditor.sweep(), 0u);
+}
+
+TEST(HostileGuest, NestedZeroPageTeaRequestIsRefused)
+{
+    NestedPvRig rig;
+    NestedTeaHypercall &hc = *rig.tb.l2Hypercall();
+    const Counter calls = hc.hypercalls();
+    EXPECT_FALSE(hc.allocTea(0).has_value());
+    EXPECT_EQ(hc.hypercalls(), calls + 1);
+    EXPECT_EQ(rig.auditor.sweep(), 0u);
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 
 #include <cstring>
 #include <functional>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -231,6 +232,63 @@ struct ViewRig
     virtual PhysicalMemory &host() = 0;
     virtual Memory &view() = 0;
     virtual BuddyAllocator &viewAllocator() = 0;
+
+    /** Bytes of the view's physical space. */
+    virtual Addr viewBytes() = 0;
+
+    /**
+     * Host address of view address pa by walking every container
+     * page table; nullopt where a layer does not back it.
+     */
+    virtual std::optional<Addr> walk(Addr pa) = 0;
+
+    /**
+     * Every frame-map translation of pa (each layer, and composed)
+     * equals the container walks; an unbacked page has an unbacked
+     * map entry.
+     */
+    virtual void expectMapsMatchWalks(Addr pa) = 0;
+
+    /** One request to the rig's pvDMT TEA hypercall. */
+    virtual std::optional<TeaGrant> allocTea(std::uint64_t pages) = 0;
+
+    /**
+     * pvDMT splices through the hypercall: two runs, and a zero-page
+     * request that must be refused.
+     */
+    void
+    splice()
+    {
+        for (const std::uint64_t pages : {16, 5}) {
+            const auto grant = allocTea(pages);
+            ASSERT_TRUE(grant.has_value());
+            grants.emplace_back(grant->gpaBasePfn, pages);
+        }
+        EXPECT_FALSE(allocTea(0).has_value());
+    }
+
+    /** Compact every allocator that backs a container's data. */
+    virtual void compact() = 0;
+
+    /** The container process backing the view. */
+    virtual AddressSpace &container() = 0;
+
+    /** Host VA of view address 0 in container(). */
+    virtual Addr containerBase() = 0;
+
+    /** Is gfn free guest memory or part of a TEA grant? */
+    bool
+    usable(Pfn gfn)
+    {
+        for (const auto &[base, pages] : grants) {
+            if (gfn >= base && gfn < base + pages)
+                return true;
+        }
+        return viewAllocator().isFree(gfn);
+    }
+
+    /** gPA runs spliced in by splice(): (first gfn, pages). */
+    std::vector<std::pair<Pfn, std::uint64_t>> grants;
 };
 
 /**
@@ -258,6 +316,16 @@ scatterHostFrames(PhysicalMemory &mem, BuddyAllocator &alloc, Pfn frames)
         alloc.freePages(pfn, 0);
 }
 
+/** A page-table walk of `pt` at va, as a physical address. */
+std::optional<Addr>
+walkPa(const RadixPageTable &pt, Addr va)
+{
+    const auto tr = pt.translate(va);
+    if (!tr)
+        return std::nullopt;
+    return tr->pa;
+}
+
 struct VmRig : ViewRig
 {
     explicit VmRig(ThpMode ept)
@@ -271,6 +339,8 @@ struct VmRig : ViewRig
         cfg.vmBytes = Addr{16} << 20;
         cfg.hostThp = ept;
         vm = std::make_unique<VirtualMachine>(hostMem, hostAlloc, cfg);
+        hypercall =
+            std::make_unique<TeaHypercall>(*vm, hostAlloc, gteaTable);
     }
     PhysicalMemory &host() override { return hostMem; }
     Memory &view() override { return vm->guestMem(); }
@@ -278,23 +348,69 @@ struct VmRig : ViewRig
     {
         return vm->guestAllocator();
     }
+    Addr viewBytes() override { return vm->config().vmBytes; }
+    AddressSpace &container() override { return vm->containerSpace(); }
+    Addr containerBase() override { return vm->gpaToHva(0); }
+
+    std::optional<Addr>
+    walk(Addr gpa) override
+    {
+        return walkPa(vm->containerSpace().pageTable(),
+                      vm->gpaToHva(gpa));
+    }
+
+    void
+    expectMapsMatchWalks(Addr gpa) override
+    {
+        const auto hpa = walk(gpa);
+        if (!hpa) {
+            EXPECT_EQ(vm->frameMap().entry(gpa), FrameMap::unbacked)
+                << "gpa 0x" << std::hex << gpa;
+            return;
+        }
+        EXPECT_EQ(vm->gpaToHostPa(gpa), *hpa)
+            << "gpa 0x" << std::hex << gpa;
+    }
+
+    std::optional<TeaGrant>
+    allocTea(std::uint64_t pages) override
+    {
+        return hypercall->allocTea(pages);
+    }
+
+    void
+    compact() override
+    {
+        hostAlloc.setRelocationHook([this](Pfn from, Pfn to) {
+            vm->containerSpace().onFrameRelocated(from, to);
+        });
+        EXPECT_GT(hostAlloc.compact(256), 0u);
+    }
 
     PhysicalMemory hostMem;
     BuddyAllocator hostAlloc;
     std::unique_ptr<VirtualMachine> vm;
+    GteaTable gteaTable;
+    std::unique_ptr<TeaHypercall> hypercall;
 };
 
 struct NestedRig : ViewRig
 {
-    NestedRig()
+    explicit NestedRig(ThpMode thp = ThpMode::Never)
         : l0Mem(Addr{192} << 20), l0Alloc((Addr{192} << 20) >> pageShift)
     {
-        scatterHostFrames(l0Mem, l0Alloc,
-                          (Addr{128} << 20) >> pageShift);
+        // 2 MB container mappings need contiguous memory.
+        if (thp == ThpMode::Never)
+            scatterHostFrames(l0Mem, l0Alloc,
+                              (Addr{128} << 20) >> pageShift);
         NestedConfig cfg;
         cfg.l1Bytes = Addr{64} << 20;
         cfg.l2Bytes = Addr{16} << 20;
+        cfg.l0Thp = thp;
+        cfg.l1Thp = thp;
         stack = std::make_unique<NestedStack>(l0Mem, l0Alloc, cfg);
+        hypercall = std::make_unique<NestedTeaHypercall>(
+            *stack, l0Alloc, gteaTable);
     }
     PhysicalMemory &host() override { return l0Mem; }
     Memory &view() override { return stack->l2Mem(); }
@@ -302,10 +418,71 @@ struct NestedRig : ViewRig
     {
         return stack->l2Allocator();
     }
+    Addr viewBytes() override { return stack->config().l2Bytes; }
+    AddressSpace &container() override { return stack->l1Container(); }
+    Addr containerBase() override { return stack->l2paToL1va(0); }
+
+    std::optional<Addr>
+    walkL1(Addr l2pa)
+    {
+        return walkPa(stack->l1Container().pageTable(),
+                      stack->l2paToL1va(l2pa));
+    }
+
+    std::optional<Addr>
+    walk(Addr l2pa) override
+    {
+        const auto l1pa = walkL1(l2pa);
+        if (!l1pa)
+            return std::nullopt;
+        return walkPa(stack->vm1().containerSpace().pageTable(),
+                      stack->vm1().gpaToHva(*l1pa));
+    }
+
+    void
+    expectMapsMatchWalks(Addr l2pa) override
+    {
+        const auto l1pa = walkL1(l2pa);
+        if (!l1pa) {
+            EXPECT_EQ(stack->l2FrameMap().entry(l2pa),
+                      FrameMap::unbacked)
+                << "l2pa 0x" << std::hex << l2pa;
+            return;
+        }
+        EXPECT_EQ(stack->l2paToL1pa(l2pa), *l1pa)
+            << "l2pa 0x" << std::hex << l2pa;
+        const auto l0pa = walk(l2pa);
+        ASSERT_TRUE(l0pa.has_value());
+        EXPECT_EQ(stack->l1paToL0pa(*l1pa), *l0pa);
+        EXPECT_EQ(stack->l2paToL0pa(l2pa), *l0pa)
+            << "l2pa 0x" << std::hex << l2pa;
+    }
+
+    std::optional<TeaGrant>
+    allocTea(std::uint64_t pages) override
+    {
+        return hypercall->allocTea(pages);
+    }
+
+    void
+    compact() override
+    {
+        l0Alloc.setRelocationHook([this](Pfn from, Pfn to) {
+            stack->vm1().containerSpace().onFrameRelocated(from, to);
+        });
+        stack->vm1().guestAllocator().setRelocationHook(
+            [this](Pfn from, Pfn to) {
+                stack->l1Container().onFrameRelocated(from, to);
+            });
+        EXPECT_GT(l0Alloc.compact(256), 0u);
+        EXPECT_GT(stack->vm1().guestAllocator().compact(256), 0u);
+    }
 
     PhysicalMemory l0Mem;
     BuddyAllocator l0Alloc;
     std::unique_ptr<NestedStack> stack;
+    GteaTable gteaTable;
+    std::unique_ptr<NestedTeaHypercall> hypercall;
 };
 
 /** Every word of two host memories, plus their accounting. */
@@ -421,6 +598,236 @@ TEST(GuestViewRangeOps, TwoLevelNestedViewMatchesWordLoop)
 {
     checkRangeOpsMatchWordLoop(
         [] { return std::make_unique<NestedRig>(); });
+}
+
+/**
+ * The frame maps against the container walks at one seeded address
+ * in every page of the view.
+ */
+void
+expectFrameMapsMatchWalks(ViewRig &rig, std::uint64_t seed,
+                          const char *when)
+{
+    SCOPED_TRACE(when);
+    Rng rng(seed);
+    for (Addr page = 0; page < rig.viewBytes(); page += pageSize) {
+        rig.expectMapsMatchWalks(page + (rng.below(pageSize / 8) << 3));
+        if (::testing::Test::HasFailure())
+            return;
+    }
+}
+
+void
+checkFrameMapsFollowSplicesAndCompaction(ViewRig &rig, bool compact)
+{
+    expectFrameMapsMatchWalks(rig, 1, "populated");
+    rig.splice();
+    expectFrameMapsMatchWalks(rig, 2, "after pvDMT splices");
+    if (compact) {
+        rig.compact();
+        expectFrameMapsMatchWalks(rig, 3, "after compaction");
+    }
+}
+
+TEST(FrameMapDifferential, VirtFollowsSplicesAndCompaction)
+{
+    VmRig rig(ThpMode::Never);
+    checkFrameMapsFollowSplicesAndCompaction(rig, true);
+}
+
+TEST(FrameMapDifferential, VirtSpliceDemotesHugeEptPage)
+{
+    VmRig rig(ThpMode::Always);
+    const std::uint64_t huge = rig.vm->containerSpace().hugeMappings();
+    ASSERT_GT(huge, 0u);
+    // Compaction moves 4 KB frames only, so the THP rig skips it.
+    checkFrameMapsFollowSplicesAndCompaction(rig, false);
+    EXPECT_LT(rig.vm->containerSpace().hugeMappings(), huge);
+}
+
+TEST(FrameMapDifferential, NestedFollowsSplicesAndCompaction)
+{
+    NestedRig rig;
+    checkFrameMapsFollowSplicesAndCompaction(rig, true);
+}
+
+TEST(FrameMapDifferential, NestedSpliceDemotesHugePagesAtBothLayers)
+{
+    NestedRig rig(ThpMode::Always);
+    auto &l0 = rig.stack->vm1().containerSpace();
+    auto &l1 = rig.stack->l1Container();
+    const std::uint64_t huge0 = l0.hugeMappings();
+    const std::uint64_t huge1 = l1.hugeMappings();
+    ASSERT_GT(huge0, 0u);
+    ASSERT_GT(huge1, 0u);
+    checkFrameMapsFollowSplicesAndCompaction(rig, false);
+    EXPECT_LT(l0.hugeMappings(), huge0);
+    EXPECT_LT(l1.hugeMappings(), huge1);
+}
+
+/**
+ * munmap, re-mmap half and growVma over the container's VMA: the map
+ * goes unbacked and comes back page by page with the table, and a
+ * VMA outside the window leaves it alone.
+ */
+void
+checkFrameMapFollowsMunmapAndGrow(ViewRig &rig)
+{
+    AddressSpace &container = rig.container();
+    const Addr base = rig.containerBase();
+    const Addr bytes = rig.viewBytes();
+    container.munmap(base);
+    expectFrameMapsMatchWalks(rig, 4, "after munmap");
+    container.mmapAt(base, bytes / 2, VmaKind::MappedFile);
+    expectFrameMapsMatchWalks(rig, 5, "after re-mmap of half");
+    EXPECT_FALSE(rig.walk(bytes - pageSize).has_value());
+    container.growVma(base, bytes);
+    expectFrameMapsMatchWalks(rig, 6, "after growVma");
+    container.mmapAt(base + bytes + hugePageSize, hugePageSize,
+                     VmaKind::Heap);
+    expectFrameMapsMatchWalks(rig, 7, "after a VMA outside the window");
+}
+
+TEST(FrameMapDifferential, VirtContainerMunmapAndGrowVma)
+{
+    for (const ThpMode thp : {ThpMode::Never, ThpMode::Always}) {
+        VmRig rig(thp);
+        checkFrameMapFollowsMunmapAndGrow(rig);
+    }
+}
+
+TEST(FrameMapDifferential, NestedContainerMunmapAndGrowVma)
+{
+    for (const ThpMode thp : {ThpMode::Never, ThpMode::Always}) {
+        NestedRig rig(thp);
+        checkFrameMapFollowsMunmapAndGrow(rig);
+    }
+}
+
+/** Test-only guest view that resolves every word by a table walk. */
+class WalkedView : public Memory
+{
+  public:
+    WalkedView(Memory &backing, ViewRig &rig)
+        : backing_(backing), rig_(rig)
+    {
+    }
+
+    std::uint64_t
+    read64(Addr pa) const override
+    {
+        return backing_.read64(resolve(pa));
+    }
+
+    void
+    write64(Addr pa, std::uint64_t value) override
+    {
+        backing_.write64(resolve(pa), value);
+    }
+
+  private:
+    Addr
+    resolve(Addr pa) const
+    {
+        const auto hpa = rig_.walk(pa);
+        EXPECT_TRUE(hpa.has_value());
+        return hpa.value_or(0);
+    }
+
+    Memory &backing_;
+    ViewRig &rig_;
+};
+
+/**
+ * After splices (and compaction), seeded read64/write64/copyRange/
+ * zeroRange through the frame-mapped view on one rig and through a
+ * walking view on an identical rig leave both hosts byte-identical.
+ * Ops touch only free guest pages and TEA grants, never the guest's
+ * own page tables.
+ */
+void
+checkViewMatchesWalkedView(
+    const std::function<std::unique_ptr<ViewRig>()> &make, bool compact)
+{
+    auto mapped = make();
+    auto walked = make();
+    for (ViewRig *rig : {mapped.get(), walked.get()}) {
+        rig->splice();
+        if (compact)
+            rig->compact();
+    }
+    ASSERT_FALSE(::testing::Test::HasFailure());
+    expectSameBacking(mapped->host(), walked->host(), "churn");
+    WalkedView walkedView(walked->host(), *walked);
+    Memory &a = mapped->view();
+    Memory &b = walkedView;
+
+    Rng rng(0xf4a3e);
+    const Pfn pages = mapped->viewBytes() >> pageShift;
+    // A run of `n` consecutive usable guest pages.
+    auto pickRun = [&](Pfn n) {
+        while (true) {
+            const Pfn gfn = rng.below(pages - n + 1);
+            bool ok = true;
+            for (Pfn i = 0; i < n && ok; ++i)
+                ok = mapped->usable(gfn + i);
+            if (ok)
+                return Addr{gfn} << pageShift;
+        }
+    };
+    auto word = [&](Addr bytes) { return rng.below(bytes / 8) * 8; };
+    for (int i = 0; i < 4000; ++i) {
+        const Addr pa = pickRun(1) + word(pageSize);
+        const std::uint64_t v = rng.below(4) == 0 ? 0 : rng.next();
+        a.write64(pa, v);
+        b.write64(pa, v);
+    }
+    for (const auto &[gfn, n] : mapped->grants) {
+        for (Addr off = 0; off < n * pageSize; off += 64) {
+            const Addr pa = (Addr{gfn} << pageShift) + off;
+            a.write64(pa, rng.next() | 1);
+            b.write64(pa, a.read64(pa));
+        }
+    }
+    expectSameBacking(mapped->host(), walked->host(), "writes");
+    for (int i = 0; i < 400; ++i) {
+        const Addr n = 1 + rng.below(3);
+        const Addr bytes = 8 + word(n * pageSize - 8);
+        const Addr dst = pickRun(n + 1) + word(pageSize);
+        if (rng.below(2) == 0) {
+            a.zeroRange(dst, bytes);
+            b.zeroRange(dst, bytes);
+            continue;
+        }
+        const Addr src = pickRun(n + 1) + word(pageSize);
+        if (!(dst + bytes <= src || src + bytes <= dst))
+            continue;
+        a.copyRange(dst, src, bytes);
+        b.copyRange(dst, src, bytes);
+    }
+    for (int i = 0; i < 2000; ++i) {
+        const Addr pa = pickRun(1) + word(pageSize);
+        ASSERT_EQ(a.read64(pa), b.read64(pa)) << "gpa 0x" << std::hex
+                                              << pa;
+    }
+    expectSameBacking(mapped->host(), walked->host(), "range ops");
+}
+
+TEST(FrameMapDifferential, VirtViewMatchesWalkedView)
+{
+    checkViewMatchesWalkedView(
+        [] { return std::make_unique<VmRig>(ThpMode::Never); }, true);
+    checkViewMatchesWalkedView(
+        [] { return std::make_unique<VmRig>(ThpMode::Always); }, false);
+}
+
+TEST(FrameMapDifferential, NestedViewMatchesWalkedView)
+{
+    checkViewMatchesWalkedView(
+        [] { return std::make_unique<NestedRig>(); }, true);
+    checkViewMatchesWalkedView(
+        [] { return std::make_unique<NestedRig>(ThpMode::Always); },
+        false);
 }
 
 } // namespace
